@@ -178,6 +178,13 @@ def register(spec: CheckerSpec) -> CheckerSpec:
         raise RegistrationError(
             f"checker {spec.name!r}: unknown bucket {spec.bucket!r}"
         )
+    if spec.bucket == ORDERING and spec.inputs == INPUT_CORPUS:
+        # The check memo reuses an ordering checker's output per
+        # pairing, so that output may depend on its own pairing only.
+        raise RegistrationError(
+            f"checker {spec.name!r}: ordering checkers are per-pairing "
+            f"and cannot need corpus-global input"
+        )
     if spec.cfg_shardable and spec.bucket != ORDERING:
         raise RegistrationError(
             f"checker {spec.name!r}: only ordering checkers shard over "

@@ -22,7 +22,10 @@ The pipeline is incremental end to end:
 * the global pairing stage keeps one :class:`PairingIndex` alive across
   runs and feeds it file-level deltas, so ``reanalyze_file`` — the
   paper's "updating the analysis after modifying a single file takes
-  less than 30 seconds" mode — pays O(changed sites), not O(all sites).
+  less than 30 seconds" mode — pays O(changed sites), not O(all sites);
+* the check stage keeps the ordering checkers' outcomes per pairing
+  (:class:`repro.checkers.runner.CheckMemo`) and re-checks only the
+  pairings whose barrier sites a delta replaced.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis.barrier_scan import BarrierScanner, BarrierSite, ScanLimits
-from repro.checkers.runner import CheckerSuite, CheckReport
+from repro.checkers.runner import CheckerSuite, CheckMemo, CheckReport
 from repro.core.cache import CachedScan, ScanCache, header_closure, scan_key
 from repro.core.profile import StageProfile
 from repro.cparse.parser import ParseError, parse_source
@@ -278,6 +281,9 @@ class OFenceEngine:
         #: validated against the file's content-addressed scan key, so
         #: incremental re-analyses only rebuild diffs the edit changed.
         self._patch_memo: dict[str, tuple] = {}
+        #: Per-entry ordering-checker outcomes of the last run; an
+        #: incremental run re-checks only the pairings an edit touched.
+        self._check_memo = CheckMemo()
         self._profile: StageProfile | None = None
         #: Worker-side pairing-index namespace (see ``_EXEC_NS_IDS``).
         self._exec_ns = f"eng{next(_EXEC_NS_IDS)}"
@@ -416,8 +422,11 @@ class OFenceEngine:
                 annotate=self.options.annotate,
                 checks=self.options.checks,
                 shard_runner=self._check_shard_runner(profile),
+                memo=self._check_memo,
             )
             report = suite.run(pairing)
+            for name, value in suite.stats.items():
+                profile.count(f"check.{name}", value)
 
         with profile.stage("fingerprint"):
             from repro.store.fingerprint import attach_fingerprints
@@ -1072,12 +1081,23 @@ def _run_store(
 def _run_incremental(
     source: KernelSource, options: AnalysisOptions | None = None
 ) -> AnalysisResult:
-    """Full analysis, then a ``reanalyze_file`` pass over every file."""
+    """Full analysis, then a touch-and-restore delta on every file.
+
+    Each file gets a comment appended and is then restored, both through
+    ``reanalyze_file``.  Either delta re-scans the file and so replaces
+    its barrier sites: the pairings over them are re-checked while the
+    rest come from the check memo.  The last result is the one diffed
+    against serial mode.  The caller's tree is left untouched.
+    """
     opts = _mode_options(
         options, workers=None, cache_dir=None, executor=None
     )
-    engine = OFenceEngine(source, opts)
+    engine = OFenceEngine(
+        dataclasses.replace(source, files=dict(source.files)), opts
+    )
     result = engine.analyze()
     for path in engine.selected_files()[0]:
-        result = engine.reanalyze_file(path)
+        text = engine.source.files[path]
+        engine.reanalyze_file(path, text + "\n/* touched */\n")
+        result = engine.reanalyze_file(path, text)
     return result

@@ -3,7 +3,9 @@
 ``EvaluationReport`` aggregates one analysis run (plus optional ground
 truth) into the paper's evaluation artifacts:
 
-* Table 3 — breakdown of ordering bugs found;
+* Table 3 — raw ordering findings per bug bucket (before triage: the
+  counts include known false positives; the ground-truth-confirmed
+  breakdown is ``RunScore.detected_table3``);
 * §6.1 — files analyzed / skipped, run time;
 * §6.3 — unneeded barriers;
 * §6.4 — pairings, coverage, false-positive ratios;
@@ -42,7 +44,8 @@ class EvaluationReport:
             for name, count in self.result.report.table3_breakdown().items()
         ]
         return render_table(
-            "Table 3: breakdown of bugs found in the kernel", rows
+            "Table 3 (raw findings, incl. false positives): "
+            "ordering findings per bug class", rows
         )
 
     def section_6_1(self) -> str:

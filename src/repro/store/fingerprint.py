@@ -127,6 +127,12 @@ def _opens_scope(stripped: str) -> bool:
     return stripped == "{" or (stripped.endswith("{") and "(" in stripped)
 
 
+def code_lines(text: str) -> list[str]:
+    """``text`` comment-stripped and split into lines: what
+    :func:`window_at` walks.  Compute it once per file."""
+    return _strip_comments(text).split("\n")
+
+
 def context_window(
     text: str, line: int, radius: int = CONTEXT_RADIUS
 ) -> list[str]:
@@ -138,7 +144,13 @@ def context_window(
     blank-line noise, reordering of sibling definitions, and any edit
     outside the enclosing function.
     """
-    raw = _strip_comments(text).split("\n")
+    return window_at(code_lines(text), line, radius)
+
+
+def window_at(
+    raw: list[str], line: int, radius: int = CONTEXT_RADIUS
+) -> list[str]:
+    """:func:`context_window` over the file's :func:`code_lines`."""
     index = min(max(line - 1, 0), max(len(raw) - 1, 0))
 
     def collapse(value: str) -> str:
@@ -179,6 +191,13 @@ def compute_fingerprint(finding: "Finding", file_text: str | None) -> str:
     just less collision-resistant against two identical shapes in one
     function.
     """
+    return _fingerprint(
+        finding, code_lines(file_text) if file_text is not None else None
+    )
+
+
+def _fingerprint(finding: "Finding", lines: list[str] | None) -> str:
+    """:func:`compute_fingerprint` over the file's :func:`code_lines`."""
     barrier = finding.barrier
     use = finding.use
     material = "\x1f".join((
@@ -193,8 +212,8 @@ def compute_fingerprint(finding: "Finding", file_text: str | None) -> str:
         use.access.via if use is not None else "",
         use.kind.name if use is not None else "",
         "\x1e".join(
-            context_window(file_text, finding.line)
-            if file_text is not None else ()
+            window_at(lines, finding.line)
+            if lines is not None else ()
         ),
     ))
     return hashlib.sha256(material.encode()).hexdigest()[:16]
@@ -203,11 +222,19 @@ def compute_fingerprint(finding: "Finding", file_text: str | None) -> str:
 def attach_fingerprints(
     findings: Iterable["Finding"], files: dict[str, str]
 ) -> None:
-    """Compute and set ``finding.fingerprint`` for every finding."""
+    """Compute and set ``finding.fingerprint`` for every finding.
+
+    Each file is comment-stripped and split once, however many findings
+    it holds.
+    """
+    by_file: dict[str, list["Finding"]] = {}
     for finding in findings:
-        finding.fingerprint = compute_fingerprint(
-            finding, files.get(finding.filename)
-        )
+        by_file.setdefault(finding.filename, []).append(finding)
+    for filename, group in by_file.items():
+        text = files.get(filename)
+        lines = code_lines(text) if text is not None else None
+        for finding in group:
+            finding.fingerprint = _fingerprint(finding, lines)
 
 
 def finding_record(finding: "Finding") -> dict:

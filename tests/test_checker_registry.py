@@ -111,6 +111,18 @@ class TestRegistryConsistency:
         with pytest.raises(registry.RegistrationError):
             registry.register(spec)
 
+    def test_corpus_global_ordering_checker_rejected(self):
+        # The check memo reuses ordering output per pairing.
+        import dataclasses
+
+        spec = dataclasses.replace(
+            registry.get("misplaced"), name="global-misplaced",
+            inputs=registry.INPUT_CORPUS,
+        )
+        with pytest.raises(registry.RegistrationError, match="per-pairing"):
+            registry.register(spec)
+        assert "global-misplaced" not in registry.all_names()
+
     def test_table3_buckets_derive_from_kinds(self):
         buckets = registry.table3_buckets()
         assert buckets == tuple(sorted(buckets))

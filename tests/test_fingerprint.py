@@ -228,3 +228,34 @@ class TestNormalization:
         two = compute_fingerprint(FakeFinding(), None)
         assert one == two
         assert len(one) == 16
+
+
+class TestAttachOncePerFile:
+    def test_attach_matches_per_finding_compute_over_small_corpus(self):
+        from repro.corpus.generator import CorpusSpec, generate_corpus
+        from repro.store.fingerprint import attach_fingerprints
+
+        corpus = generate_corpus(CorpusSpec.small(), 5)
+        result = OFenceEngine(corpus.source).analyze()
+        findings = result.report.all_findings
+        assert len({f.filename for f in findings}) > 1
+        expected = [
+            compute_fingerprint(f, corpus.source.files.get(f.filename))
+            for f in findings
+        ]
+        for finding in findings:
+            finding.fingerprint = None
+        attach_fingerprints(findings, corpus.source.files)
+        assert [f.fingerprint for f in findings] == expected
+
+    def test_missing_file_text_degrades_like_compute(self):
+        from repro.store.fingerprint import attach_fingerprints
+
+        result = OFenceEngine(
+            KernelSource(files={"a.c": WRITER_READER})
+        ).analyze()
+        findings = result.report.all_findings
+        attach_fingerprints(findings, {})
+        assert [f.fingerprint for f in findings] == [
+            compute_fingerprint(f, None) for f in findings
+        ]

@@ -96,6 +96,13 @@ class TestEvaluationReport:
         assert "Section 6.1" in text
         assert "Correct pairings" not in text  # score-only rows absent
 
+    def test_table3_is_labelled_raw(self, result):
+        # The report counts findings before triage (known false
+        # positives included), so it must not claim confirmed bugs.
+        title = EvaluationReport(result).table3().splitlines()[0]
+        assert title.startswith("Table 3 (raw findings")
+        assert "bugs found" not in title
+
     def test_section_timings_listed(self, result):
         text = EvaluationReport(result).section_6_1()
         for stage in ("scan", "pair", "check", "patch"):
