@@ -597,16 +597,11 @@ class ClusterExecutor:
     # -- observability -----------------------------------------------------
 
     def record_result(self, result) -> None:
-        """Fold one analysis result's merge-side stage timings into the
-        cluster stats (pairing merge + checker patch time is the
-        coordinator's own work)."""
-        profile = getattr(result, "profile", None)
-        if profile is None:
-            return
-        stages = getattr(profile, "stages", {}) or {}
+        """Fold one result's coordinator-side stage time into the stats:
+        every top-level stage but ``scan``, which the nodes do."""
         spent = sum(
-            seconds for name, seconds in stages.items()
-            if name in ("pair", "check", "patch")
+            seconds for name, seconds in result.stage_seconds.items()
+            if name != "scan"
         )
         with self._stats_lock:
             self.stats.merge_seconds += spent

@@ -49,7 +49,7 @@ from repro.cparse.typesys import TypeRegistry
 from repro.kernel.barriers import BARRIER_PRIMITIVES
 from repro.kernel.config import KernelConfig, default_config
 from repro.patching.generate import Patch, PatchGenerator
-from repro.trace.context import span as trace_span
+from repro.trace.context import count, recording, span
 
 #: Regex matching any barrier primitive or seqcount helper call; used for
 #: the cheap "does this file contain barriers?" pre-filter.
@@ -235,9 +235,13 @@ class AnalysisResult:
     report: CheckReport
     patches: list[Patch]
     elapsed_seconds: float
-    stage_seconds: dict[str, float]
     #: Fine-grained timing/counter breakdown (CLI ``--profile``).
     profile: StageProfile = field(default_factory=StageProfile)
+
+    @property
+    def stage_seconds(self) -> dict[str, float]:
+        """Top-level stage timings (scan / pair / check / ...)."""
+        return self.profile.coarse()
 
     @property
     def total_barriers(self) -> int:
@@ -270,10 +274,10 @@ class OFenceEngine:
         self._pairing_index = PairingIndex()
         #: Serializes whole runs.  ``analyze``/``reanalyze_file`` mutate
         #: shared state with no internal synchronization (the file cache,
-        #: the pairing index and its candidate memo, ``self._profile``),
-        #: so concurrent callers — the ``repro serve`` engine pool in
-        #: particular — must take turns.  Re-entrant so a locked caller
-        #: can compose engine methods.
+        #: the pairing index and its candidate memo), so concurrent
+        #: callers — the ``repro serve`` engine pool in particular —
+        #: must take turns.  Re-entrant so a locked caller can compose
+        #: engine methods.
         self._lock = threading.RLock()
         #: path -> (text hash, header closure) memo for key computation.
         self._closure_memo: dict[str, tuple[int, list[tuple[str, str]]]] = {}
@@ -284,7 +288,6 @@ class OFenceEngine:
         #: Per-entry ordering-checker outcomes of the last run; an
         #: incremental run re-checks only the pairings an edit touched.
         self._check_memo = CheckMemo()
-        self._profile: StageProfile | None = None
         #: Worker-side pairing-index namespace (see ``_EXEC_NS_IDS``).
         self._exec_ns = f"eng{next(_EXEC_NS_IDS)}"
         #: (token, ExecContext) memo so warm re-runs skip re-hashing the
@@ -309,143 +312,61 @@ class OFenceEngine:
 
     def analyze(self) -> AnalysisResult:
         with self._lock:
-            try:
-                return self._analyze_locked()
-            finally:
-                # A mid-run exception (a shutting-down executor raising
-                # ExecutorClosed) must not leave a stale profile behind
-                # for the next run to pollute.
-                self._profile = None
+            return self._run(self._scan_selected)
 
-    def _analyze_locked(self) -> AnalysisResult:
-        start = time.perf_counter()
-        profile = StageProfile()
-        self._profile = profile
+    def reanalyze_file(self, path: str, new_text: str | None = None) -> AnalysisResult:
+        """Incremental mode: re-scan one file, re-run pairing + checks."""
+        with self._lock:
+            if new_text is not None:
+                self.source.files[path] = new_text
+            return self._run(lambda selected: self._scan_file(path, selected))
 
-        selected, skipped = self.selected_files()
-        total_with_barriers = len(selected) + len(skipped)
-
-        with profile.stage("scan"), trace_span("engine.scan") as t_scan:
-            pending = self._refresh_cache(selected, profile)
+    def _scan_selected(self, selected: list[str]) -> None:
+        with span("engine.scan") as t_scan:
+            pending = self._refresh_cache(selected)
             if pending:
                 executor = (
                     self._active_executor() if len(pending) > 1 else None
                 )
                 if executor is not None:
-                    pending_left = self._executor_scan(
-                        pending, executor, profile
-                    )
+                    pending_left = self._executor_scan(pending, executor)
                 else:
                     pending_left = pending
                 for path, key in pending_left:
                     self._scan_single(path, key)
-            profile.count("scan.scanned", len(pending))
+            count("scan.scanned", len(pending))
             if t_scan is not None:
                 t_scan.meta["files"] = len(selected)
                 t_scan.meta["scanned"] = len(pending)
-        failed = self._failed_files(selected)
 
-        return self._finish(
-            total_with_barriers, selected, skipped, failed, start, profile
-        )
-
-    def reanalyze_file(self, path: str, new_text: str | None = None) -> AnalysisResult:
-        """Incremental mode: re-scan one file, re-run pairing + checks."""
-        with self._lock:
-            try:
-                return self._reanalyze_file_locked(path, new_text)
-            finally:
-                self._profile = None
-
-    def _reanalyze_file_locked(
-        self, path: str, new_text: str | None = None
-    ) -> AnalysisResult:
-        start = time.perf_counter()
-        profile = StageProfile()
-        self._profile = profile
-        if new_text is not None:
-            self.source.files[path] = new_text
-        selected, skipped = self.selected_files()
-        total_with_barriers = len(selected) + len(skipped)
-
-        with profile.stage("scan"), trace_span("engine.scan", file=path):
+    def _scan_file(self, path: str, selected: list[str]) -> None:
+        with span("engine.scan", file=path):
             if path in selected:
                 key = self._scan_key(path)
                 cached = self._file_cache.get(path)
                 if cached is not None and cached.key == key:
-                    profile.count("scan.memory_hits")
-                elif not self._load_from_disk(path, key, profile):
+                    count("scan.memory_hits")
+                elif not self._load_from_disk(path, key):
                     self._scan_single(path, key)
-                    profile.count("scan.scanned")
+                    count("scan.scanned")
             else:
                 self._file_cache.pop(path, None)
-        # The failure list is computed *after* the re-scan, so a file
-        # whose parse error was just fixed drops out of ``files_failed``.
-        failed = self._failed_files(selected)
-        return self._finish(
-            total_with_barriers, selected, skipped, failed, start, profile
-        )
 
     # -- shared pipeline tail ------------------------------------------------------------
 
-    def _finish(
-        self,
-        total_with_barriers: int,
-        selected: list[str],
-        skipped: list[str],
-        failed: list[str],
-        start: float,
-        profile: StageProfile,
-    ) -> AnalysisResult:
-        from repro.pairing.algorithm import PairingEngine
-
-        sites: list[BarrierSite] = []
-        for path in selected:
-            cached = self._file_cache.get(path)
-            if cached is not None:
-                sites.extend(cached.sites)
-
-        with profile.stage("pair"), trace_span("engine.pair"):
-            with profile.stage("pair.sync"):
-                updated = self._sync_pairing_index(selected)
-            profile.count("pair.files_updated", updated)
-            pairer = PairingEngine(index=self._pairing_index)
-            pairing = pairer.pair(
-                candidate_provider=self._candidate_provider(pairer, profile)
-            )
-            for name, value in pairer.stats.items():
-                profile.count(f"pair.{name}", value)
-
-        with profile.stage("check"), trace_span("engine.check"):
-            suite = CheckerSuite(
-                self._cfg_lookup,
-                annotate=self.options.annotate,
-                checks=self.options.checks,
-                shard_runner=self._check_shard_runner(profile),
-                memo=self._check_memo,
-            )
-            report = suite.run(pairing)
-            for name, value in suite.stats.items():
-                profile.count(f"check.{name}", value)
-
-        with profile.stage("fingerprint"):
-            from repro.store.fingerprint import attach_fingerprints
-
-            attach_fingerprints(report.all_findings, self.source.files)
-
-        with profile.stage("patch"), trace_span("engine.patch"):
-            generator = PatchGenerator(
-                self.source.files, self._cfg_lookup,
-                memo=self._patch_memo, file_key=self._patch_memo_key,
-            )
-            patches = generator.generate_all(report.all_findings)
-            if generator.memo_hits:
-                profile.count("patch.memo_hits", generator.memo_hits)
-            if generator.failures:
-                profile.count("patch.failed", len(generator.failures))
-
+    def _run(self, scan: Callable[[list[str]], None]) -> AnalysisResult:
+        """One recorded run: select files, ``scan`` them, then the tail."""
+        start = time.perf_counter()
+        profile = StageProfile()
+        with recording(profile):
+            selected, skipped = self.selected_files()
+            scan(selected)
+            # The failure list is computed *after* the scan, so a file
+            # whose parse error was just fixed drops out of it.
+            failed = self._failed_files(selected)
+            sites, pairing, report, patches = self._finish(selected)
         return AnalysisResult(
-            files_with_barriers=total_with_barriers,
+            files_with_barriers=len(selected) + len(skipped),
             files_analyzed=len(selected),
             files_skipped_by_config=skipped,
             files_failed=failed,
@@ -454,9 +375,58 @@ class OFenceEngine:
             report=report,
             patches=patches,
             elapsed_seconds=time.perf_counter() - start,
-            stage_seconds=profile.coarse(),
             profile=profile,
         )
+
+    def _finish(self, selected: list[str]) -> tuple:
+        """Pair, check, fingerprint and patch the scanned ``selected``."""
+        from repro.pairing.algorithm import PairingEngine
+
+        sites: list[BarrierSite] = []
+        for path in selected:
+            cached = self._file_cache.get(path)
+            if cached is not None:
+                sites.extend(cached.sites)
+
+        with span("engine.pair"):
+            with span("engine.pair.sync"):
+                updated = self._sync_pairing_index(selected)
+            count("pair.files_updated", updated)
+            pairer = PairingEngine(index=self._pairing_index)
+            pairing = pairer.pair(
+                candidate_provider=self._candidate_provider(pairer)
+            )
+            for name, value in pairer.stats.items():
+                count(f"pair.{name}", value)
+
+        with span("engine.check"):
+            suite = CheckerSuite(
+                self._cfg_lookup,
+                annotate=self.options.annotate,
+                checks=self.options.checks,
+                shard_runner=self._check_shard_runner(),
+                memo=self._check_memo,
+            )
+            report = suite.run(pairing)
+            for name, value in suite.stats.items():
+                count(f"check.{name}", value)
+
+        with span("engine.fingerprint"):
+            from repro.store.fingerprint import attach_fingerprints
+
+            attach_fingerprints(report.all_findings, self.source.files)
+
+        with span("engine.patch"):
+            generator = PatchGenerator(
+                self.source.files, self._cfg_lookup,
+                memo=self._patch_memo, file_key=self._patch_memo_key,
+            )
+            patches = generator.generate_all(report.all_findings)
+            if generator.memo_hits:
+                count("patch.memo_hits", generator.memo_hits)
+            if generator.failures:
+                count("patch.failed", len(generator.failures))
+        return sites, pairing, report, patches
 
     def _patch_memo_key(self, path: str) -> str | None:
         """Current scan key of ``path`` (None = don't memoize)."""
@@ -496,27 +466,23 @@ class OFenceEngine:
             text, self.options.config.defines(), memo[1], self.options.limits
         )
 
-    def _refresh_cache(
-        self, selected: list[str], profile: StageProfile
-    ) -> list[tuple[str, str]]:
+    def _refresh_cache(self, selected: list[str]) -> list[tuple[str, str]]:
         """Reconcile the in-memory cache; returns (path, key) to scan."""
         pending: list[tuple[str, str]] = []
-        with profile.stage("scan.keys"):
+        with span("engine.scan.keys"):
             keys = {path: self._scan_key(path) for path in selected}
         for path in selected:
             key = keys[path]
             cached = self._file_cache.get(path)
             if cached is not None and cached.key == key:
-                profile.count("scan.memory_hits")
+                count("scan.memory_hits")
                 continue
-            if self._load_from_disk(path, key, profile):
+            if self._load_from_disk(path, key):
                 continue
             pending.append((path, key))
         return pending
 
-    def _load_from_disk(
-        self, path: str, key: str, profile: StageProfile
-    ) -> bool:
+    def _load_from_disk(self, path: str, key: str) -> bool:
         payload = self._disk_cache.load(key)
         if payload is None:
             return False
@@ -524,7 +490,7 @@ class OFenceEngine:
             filename=path, scanner=None, sites=payload.sites,
             parse_error=payload.parse_error, key=key,
         )
-        profile.count("scan.disk_hits")
+        count("scan.disk_hits")
         return True
 
     def _failed_files(self, selected: list[str]) -> list[FileFailure]:
@@ -581,8 +547,7 @@ class OFenceEngine:
         return ctx
 
     def _executor_scan(
-        self, pending: list[tuple[str, str]], executor,
-        profile: StageProfile,
+        self, pending: list[tuple[str, str]], executor
     ) -> list[tuple[str, str]]:
         """Fan the per-file parse+scan across the persistent pool.
 
@@ -610,17 +575,17 @@ class OFenceEngine:
             self._disk_cache.store(key, payload)
             done.add(payload.filename)
 
-        with profile.stage("scan.exec"):
+        with span("engine.scan.exec"):
             stats = executor.scan(jobs, self._exec_context(), absorb)
-        profile.count("exec.dispatched", stats["completed"])
-        profile.count("exec.batches", stats["batches"])
-        profile.count("exec.scan_warm_hits", stats["worker_hits"])
+        count("exec.dispatched", stats["completed"])
+        count("exec.batches", stats["batches"])
+        count("exec.scan_warm_hits", stats["worker_hits"])
         if stats["respawns"]:
-            profile.count("exec.respawns", stats["respawns"])
-        profile.count("exec.workers_used", stats["workers_used"])
+            count("exec.respawns", stats["respawns"])
+        count("exec.workers_used", stats["workers_used"])
         return [(path, key) for path, key in pending if path not in done]
 
-    def _candidate_provider(self, pairer, profile: StageProfile):
+    def _candidate_provider(self, pairer):
         """Pairing-offload hook for ``PairingEngine.pair`` (or None)."""
         executor = self._active_executor()
         if executor is None:
@@ -643,13 +608,13 @@ class OFenceEngine:
                 if cached is None or cached.key is None:
                     return None
                 state[path] = (cached.key, index.file_sites(path))
-            with profile.stage("pair.exec"):
+            with span("engine.pair.exec"):
                 raw, info = executor.pair_candidates(
                     self._exec_ns, state, refs,
                     pairer._config_token(), self._exec_context(),
                 )
             if info["shards"]:
-                profile.count("pair.shards", info["shards"])
+                count("pair.shards", info["shards"])
             if raw is None:
                 return None
             from repro.pairing.algorithm import _Candidate
@@ -666,13 +631,13 @@ class OFenceEngine:
                 out[site.barrier_id] = _Candidate(
                     site, match_sites[mpos], o1, o2, weight
                 )
-            profile.count("exec.dispatched", len(refs))
-            profile.count("pair.candidates_remote", info["computed"])
+            count("exec.dispatched", len(refs))
+            count("pair.candidates_remote", info["computed"])
             return out
 
         return provide
 
-    def _check_shard_runner(self, profile: StageProfile):
+    def _check_shard_runner(self):
         """Checker-offload hook for :class:`CheckerSuite` (or None)."""
         executor = self._active_executor()
         if executor is None:
@@ -710,12 +675,12 @@ class OFenceEngine:
                 if cached is None or cached.key is None or text is None:
                     return None
                 files[path] = (cached.key, text)
-            with profile.stage("check.exec"):
+            with span("engine.check.exec"):
                 raw, info = executor.check_shards(
                     files, entries, tuple(wanted), self._exec_context()
                 )
             if info["shards"]:
-                profile.count("check.shards", info["shards"])
+                count("check.shards", info["shards"])
             if raw is None:
                 return None
             from repro.checkers import registry
@@ -740,7 +705,7 @@ class OFenceEngine:
                     findings.append(finding)
                 claimed = spec.codec.decode_claims(shard[2], check_list)
                 out[name] = ("ok", findings, claimed)
-            profile.count("exec.dispatched", len(entries))
+            count("exec.dispatched", len(entries))
             return out
 
         return run_shards
@@ -861,8 +826,7 @@ class OFenceEngine:
                     for old_use, new_use in zip(old_site.uses, new_site.uses):
                         old_use.access = new_use.access
         cached.scanner = scanner
-        if self._profile is not None:
-            self._profile.count("check.rehydrated_files")
+        count("check.rehydrated_files")
 
     def file_analysis(self, path: str) -> FileAnalysis | None:
         return self._file_cache.get(path)

@@ -1,17 +1,16 @@
 """Per-stage timing and counter breakdown for one analysis run.
 
-``AnalysisResult.stage_seconds`` keeps the coarse four-stage view the
-benchmarks assert on (scan / pair / check / patch); :class:`StageProfile`
-records the finer breakdown the performance work needs: dotted sub-stages
-(``scan.hash``, ``pair.sync``) and event counters (cache hits, worker
-payloads, pairing candidates reused).  The CLI renders it with
-``--profile``.
+:class:`StageProfile` is the run's aggregate of its engine spans: inside
+the engine's :func:`repro.trace.context.recording`, every
+``span("engine.<stage>")`` adds its duration to ``stages["<stage>"]``
+and every :func:`repro.trace.context.count` call to ``counters``.
+Dotted names are sub-stages (``scan.keys``, ``pair.sync``);
+``AnalysisResult.stage_seconds`` is the top-level view (:meth:`coarse`)
+the benchmarks assert on.  The CLI renders it with ``--profile``.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -29,14 +28,6 @@ class StageProfile:
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
 
     # -- views -------------------------------------------------------------
 

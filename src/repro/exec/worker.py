@@ -23,17 +23,19 @@ path for that stage.
 
 from __future__ import annotations
 
+import contextvars
 import os
-import time
 import traceback
 from collections import OrderedDict
+from contextlib import nullcontext
 
 from repro.analysis.barrier_scan import BarrierScanner, ScanLimits
 from repro.core.cache import CachedScan
 from repro.cparse.parser import ParseError, parse_source
 from repro.cparse.typesys import TypeRegistry
 from repro.exec.protocol import PAIR_NS_CAP
-from repro.trace.model import SpanRecord
+from repro.trace.context import activate, span
+from repro.trace.model import Trace
 
 #: Warm-state bounds; generous for the corpus scale, small enough that a
 #: long-lived daemon worker cannot grow without limit.
@@ -266,7 +268,15 @@ def _handle_check(state: _WorkerState, msg):
 
 
 def worker_main(worker_id: int, task_q, result_q) -> None:
-    """Entry point of one pool process (must be importable for spawn)."""
+    """Entry point of one pool process (must be importable for spawn).
+
+    The loop runs in an empty context: a forked worker would otherwise
+    inherit whatever trace was active in the parent when it forked.
+    """
+    contextvars.Context().run(_task_loop, worker_id, task_q, result_q)
+
+
+def _task_loop(worker_id: int, task_q, result_q) -> None:
     state = _WorkerState()
     while True:
         msg = task_q.get()
@@ -288,55 +298,29 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
             continue
         # Analysis tasks arrive as (kind, batch id, tctx, *args) where
         # tctx is the parent's (trace id, span id) pair, or None when
-        # the request is untraced.  The handlers keep the legacy
-        # (kind, batch id, *args) message shape — shard services call
-        # them directly, without a pool in between.
+        # the request is untraced; a traced task is timed by one
+        # ``exec.<kind>`` span returned with the reply.  The handlers
+        # keep the legacy (kind, batch id, *args) message shape — shard
+        # services call them directly, without a pool in between.
         batch_id = msg[1]
         tctx = msg[2]
         rest = msg[3:]
-        started = time.time()
-        opened = time.perf_counter()
+        trace = scope = None
+        if tctx is not None:
+            trace = Trace(tctx[0], node=f"exec:{worker_id}")
+            scope = activate(trace, tctx[1])
         try:
-            if kind == "scan":
-                payload = _handle_scan(state, rest[0])
-            elif kind == "cand":
-                payload = _handle_cand(state, (kind, batch_id, *rest))
-            elif kind == "check":
-                payload = _handle_check(state, (kind, batch_id, *rest))
-            else:
-                raise ValueError(f"unknown task kind {kind!r}")
-            spans = _task_spans(worker_id, kind, tctx, started, opened)
-            result_q.put((worker_id, batch_id, "ok", payload, spans))
-        except Exception as exc:
-            spans = _task_spans(
-                worker_id, kind, tctx, started, opened,
-                error=type(exc).__name__,
-            )
-            result_q.put((
-                worker_id, batch_id, "error",
-                traceback.format_exc(limit=8),
-                spans,
-            ))
-
-
-def _task_spans(
-    worker_id: int,
-    kind: str,
-    tctx: tuple[str, str | None] | None,
-    started: float,
-    opened: float,
-    error: str | None = None,
-) -> list[dict] | None:
-    """One-span list timing this task, or ``None`` when untraced."""
-    if tctx is None:
-        return None
-    meta = {"error": error} if error else {}
-    record = SpanRecord(
-        name=f"exec.{kind}",
-        parent_id=tctx[1],
-        start=started,
-        duration=time.perf_counter() - opened,
-        node=f"exec:{worker_id}",
-        meta=meta,
-    )
-    return [record.as_dict()]
+            with scope or nullcontext(), span(f"exec.{kind}"):
+                if kind == "scan":
+                    payload = _handle_scan(state, rest[0])
+                elif kind == "cand":
+                    payload = _handle_cand(state, (kind, batch_id, *rest))
+                elif kind == "check":
+                    payload = _handle_check(state, (kind, batch_id, *rest))
+                else:
+                    raise ValueError(f"unknown task kind {kind!r}")
+            status = "ok"
+        except Exception:
+            status, payload = "error", traceback.format_exc(limit=8)
+        spans = trace.export() if trace is not None else None
+        result_q.put((worker_id, batch_id, status, payload, spans))

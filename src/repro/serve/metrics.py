@@ -5,7 +5,8 @@ One :class:`MetricsRegistry` per server aggregates:
 * request latencies per endpoint (sliding window; p50/p95/p99),
 * job counters (completed/failed/batched, per kind),
 * engine-stage timings and counters, merged from every job's
-  :class:`~repro.core.profile.StageProfile`,
+  :class:`~repro.core.profile.StageProfile` (the run's aggregate of
+  its ``engine.*`` spans),
 * scan-cache statistics merged from every engine's
   :class:`~repro.core.cache.CacheStats`,
 * span-duration windows per span name, folded in from every finished
@@ -233,6 +234,9 @@ class MetricsRegistry:
         for name, seconds in snap["stage_seconds"].items():
             metric = "ofence_stage_seconds_total{stage=\"%s\"}" % name
             lines.append(f"{metric} {seconds:.6f}")
+        for name, value in snap["stage_counters"].items():
+            metric = "ofence_stage_counter_total{counter=\"%s\"}" % name
+            lines.append(f"{metric} {value}")
         for name, value in snap["cache"].items():
             lines.append(f"ofence_cache_{name} {value}")
         if snap["trace_spans"]:

@@ -10,9 +10,13 @@ single cluster submission yields one coherent span tree covering the
 coordinator, every shard node, and the nodes' exec workers.
 
 Tracing is ambient (a :mod:`contextvars` context variable) and strictly
-observational: with no active trace every instrumentation point is a
-no-op, and with one active the analysis output is bit-for-bit identical
-— the differential oracle's ``traced`` run mode proves it continuously.
+observational: with no active trace every instrumentation point outside
+an engine run is a no-op, and with one active the analysis output is
+bit-for-bit identical — the differential oracle's ``traced`` run mode
+proves it continuously.  The same ``span`` calls time the engine's
+stages for its per-run :class:`~repro.core.profile.StageProfile`
+(:func:`recording`), so ``--profile`` and ``--trace`` read one
+measurement.
 
 Export formats (:mod:`repro.trace.export`): Chrome ``trace_event`` JSON
 (loadable in Perfetto / ``chrome://tracing``) and a compact text tree.
@@ -21,10 +25,12 @@ Export formats (:mod:`repro.trace.export`): Chrome ``trace_event`` JSON
 from repro.trace.context import (
     absorb_remote,
     activate,
+    count,
     current,
     current_trace,
     format_header,
     parse_header,
+    recording,
     ship,
     ship_header,
     span,
@@ -47,12 +53,14 @@ __all__ = [
     "Trace",
     "absorb_remote",
     "activate",
+    "count",
     "current",
     "current_trace",
     "dangling",
     "format_header",
     "new_id",
     "parse_header",
+    "recording",
     "render_tree",
     "ship",
     "ship_header",

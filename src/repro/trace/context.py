@@ -5,12 +5,20 @@ The active trace travels in a :class:`contextvars.ContextVar` as a
 thread a handle through call signatures:
 
 * :func:`span` opens a child of the current span — and is a complete
-  no-op (zero allocations beyond the generator) when no trace is
-  active, which keeps untraced runs untouched;
+  no-op (zero allocations beyond the generator) unless a trace is
+  active or, for an ``engine.*`` span, a recording;
 * :func:`activate` installs an existing trace (the serve daemon
-  activates a job's trace on the worker thread running it);
+  activates a job's trace on the worker thread running it, an exec
+  worker the trace context its task shipped with);
 * :func:`start_trace` builds a fresh trace with a root span (the CLI
   and the ``traced`` run mode).
+
+A second ContextVar holds the engine's per-run *recording*: a
+:class:`repro.core.profile.StageProfile` that every
+``span("engine.<stage>")`` adds its measured duration to, under
+``<stage>``, and that :func:`count` adds event counts to.  One
+measurement feeds both views, so ``--profile`` stage totals equal the
+sums of the matching ``engine.*`` span durations in a ``--trace`` tree.
 
 Cross-boundary plumbing: :func:`ship` captures ``(trace id, span id)``
 for the exec task protocol, :func:`ship_header`/:func:`parse_header`
@@ -28,13 +36,22 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.trace.model import SpanRecord, Trace
+
+if TYPE_CHECKING:
+    from repro.core.profile import StageProfile
 
 _ACTIVE: ContextVar[tuple[Trace, str | None] | None] = ContextVar(
     "repro_trace_active", default=None
 )
+_RECORDING: ContextVar["StageProfile | None"] = ContextVar(
+    "repro_trace_recording", default=None
+)
+
+#: Span-name prefix of the engine stages a recording aggregates.
+_STAGE_PREFIX = "engine."
 
 
 def current() -> tuple[Trace, str | None] | None:
@@ -62,34 +79,61 @@ def activate(trace: Trace, parent: str | None = None):
 
 
 @contextmanager
+def recording(profile: "StageProfile"):
+    """Aggregate the block's engine spans and counts into ``profile``."""
+    token = _RECORDING.set(profile)
+    try:
+        yield profile
+    finally:
+        _RECORDING.reset(token)
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` of the active recording."""
+    profile = _RECORDING.get()
+    if profile is not None:
+        profile.count(name, amount)
+
+
+@contextmanager
 def span(name: str, node: str | None = None, **meta: Any):
-    """Open a timed child span of the current one; no-op when inactive.
+    """Open a timed child span of the current one.
 
     Yields the :class:`SpanRecord` (or ``None`` when tracing is off) so
     callers can attach metadata discovered mid-stage.  An escaping
     exception is recorded as ``meta["error"]`` and re-raised — the span
-    still closes, so failure paths never leave dangling spans.
+    still closes, so failure paths never leave dangling spans.  Inside
+    a :func:`recording`, an ``engine.<stage>`` span also adds its
+    duration to the recording's ``<stage>``; with neither a trace nor
+    such a recording active the span is a no-op.
     """
     active = _ACTIVE.get()
-    if active is None:
+    profile = _RECORDING.get() if name.startswith(_STAGE_PREFIX) else None
+    if active is None and profile is None:
         yield None
         return
-    trace, parent = active
-    record = SpanRecord(
-        name=name, parent_id=parent,
-        node=node if node is not None else trace.node, meta=dict(meta),
-    )
-    trace.add(record)
-    token = _ACTIVE.set((trace, record.span_id))
+    record = token = None
+    if active is not None:
+        trace, parent = active
+        record = trace.add(SpanRecord(
+            name=name, parent_id=parent,
+            node=node if node is not None else trace.node, meta=dict(meta),
+        ))
+        token = _ACTIVE.set((trace, record.span_id))
     opened = time.perf_counter()
     try:
         yield record
     except BaseException as exc:
-        record.meta.setdefault("error", type(exc).__name__)
+        if record is not None:
+            record.meta.setdefault("error", type(exc).__name__)
         raise
     finally:
-        record.duration = time.perf_counter() - opened
-        _ACTIVE.reset(token)
+        elapsed = time.perf_counter() - opened
+        if record is not None:
+            record.duration = elapsed
+            _ACTIVE.reset(token)
+        if profile is not None:
+            profile.add(name[len(_STAGE_PREFIX):], elapsed)
 
 
 @contextmanager

@@ -361,6 +361,16 @@ class TestMetrics:
         assert "ofence_cluster_rpcs" in text
         assert "ofence_cluster_per_node_rpcs" in text
 
+    def test_merge_seconds_is_every_stage_but_scan(self, corpus):
+        with ClusterHarness(nodes=2) as harness:
+            result = harness.coordinator.analyze(corpus.source)
+            merged = harness.executor.stats.merge_seconds
+        assert "fingerprint" in result.stage_seconds
+        assert merged == sum(
+            seconds for name, seconds in result.stage_seconds.items()
+            if name != "scan"
+        )
+
     def test_node_metrics_expose_the_shard_group(self, corpus):
         with ClusterHarness(nodes=2) as harness:
             harness.coordinator.analyze(corpus.source)

@@ -1,18 +1,36 @@
 """Tests for the stage profiler (repro.core.profile)."""
 
-from repro.core.engine import KernelSource, OFenceEngine
+import math
+
+import pytest
+
+from repro.core.engine import AnalysisOptions, KernelSource, OFenceEngine
 from repro.core.profile import StageProfile
+from repro.corpus import CorpusSpec, generate_corpus
+from repro.exec.executor import AnalysisExecutor
+from repro.trace import count, recording, span, start_trace
 
 
 class TestStageProfile:
     def test_stage_context_manager_accumulates(self):
         profile = StageProfile()
-        with profile.stage("scan"):
-            pass
-        with profile.stage("scan"):
-            pass
+        with recording(profile):
+            with span("engine.scan"):
+                pass
+            with span("engine.scan"):
+                pass
         assert profile.stages["scan"] >= 0.0
         assert len(profile.stages) == 1
+
+    def test_span_and_count_outside_a_recording_are_no_ops(self):
+        profile = StageProfile()
+        with recording(profile):
+            with span("store.record"):  # not an engine stage
+                pass
+        with span("engine.scan") as record:
+            count("scan.scanned")
+        assert record is None
+        assert profile.stages == {} and profile.counters == {}
 
     def test_coarse_hides_substages(self):
         profile = StageProfile()
@@ -60,3 +78,51 @@ class TestEngineProfile:
         counters = again.profile.counters
         assert counters.get("pair.files_updated", 0) == 0
         assert counters.get("scan.memory_hits") == 1
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(CorpusSpec.small(), seed=31)
+
+
+def _assert_stages_are_span_sums(result, trace) -> None:
+    """Each ``profile.stages[k]`` is the sum of its ``engine.<k>`` spans."""
+    totals: dict[str, float] = {}
+    for record in trace.export():
+        if record["name"].startswith("engine."):
+            stage = record["name"][len("engine."):]
+            totals[stage] = totals.get(stage, 0.0) + record["duration"]
+    assert set(totals) == set(result.profile.stages)
+    for stage, seconds in result.profile.stages.items():
+        assert math.isclose(seconds, totals[stage], rel_tol=1e-9), stage
+
+
+class TestOneRecording:
+    def test_serial_profile_is_the_span_aggregate(self, corpus):
+        with start_trace("analyze", node="t") as trace:
+            result = OFenceEngine(corpus.source).analyze()
+        _assert_stages_are_span_sums(result, trace)
+        assert {"fingerprint", "pair.sync", "scan.keys"} <= set(
+            result.profile.stages
+        )
+
+    def test_executor_profile_is_the_span_aggregate(self, corpus):
+        with AnalysisExecutor(workers=2) as executor:
+            options = AnalysisOptions(
+                workers=2, executor=executor, exec_min_batch=1
+            )
+            with start_trace("analyze", node="t") as trace:
+                result = OFenceEngine(corpus.source, options).analyze()
+        _assert_stages_are_span_sums(result, trace)
+        assert {"scan.exec", "pair.exec", "check.exec"} <= set(
+            result.profile.stages
+        )
+
+    def test_untraced_run_records_the_same_stages_and_counters(
+        self, corpus
+    ):
+        with start_trace("analyze", node="t"):
+            traced = OFenceEngine(corpus.source).analyze()
+        untraced = OFenceEngine(corpus.source).analyze()
+        assert set(untraced.profile.stages) == set(traced.profile.stages)
+        assert untraced.profile.counters == traced.profile.counters

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.barrier_scan import ScanLimits
 from repro.core.engine import AnalysisOptions, KernelSource
+from repro.core.profile import StageProfile
 from repro.serve import (
     AnalysisServer,
     AnalysisService,
@@ -335,6 +336,16 @@ class TestMetrics:
         assert "ofence_queue_depth 1" in text
         assert "ofence_pool_size 2" in text
         assert text.endswith("\n")
+
+        profile = StageProfile()
+        profile.add("scan", 0.5)
+        profile.count("scan.scanned", 3)
+        profile.count("check.reused", 7)
+        registry.merge_profile(profile)
+        text = registry.render_prometheus()
+        assert 'ofence_stage_seconds_total{stage="scan"}' in text
+        assert 'ofence_stage_counter_total{counter="scan.scanned"} 3' in text
+        assert 'ofence_stage_counter_total{counter="check.reused"} 7' in text
 
 
 # ---------------------------------------------------------------------------
