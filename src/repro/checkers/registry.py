@@ -12,12 +12,12 @@ Every dispatch layer is driven from here:
 * the executor worker runs whatever shardable specs the parent requests,
   threading claims in registry order;
 * the engine decodes shard results through each spec's codec;
-* the serve/cluster shard protocol, CLI ``--checks`` validation,
-  per-checker metrics, and the findings store's checker-kind filters all
-  key off the registered metadata.
+* CLI ``--checks`` validation, per-checker serve metrics, and the
+  findings store's checker-kind filters all key off the registered
+  metadata.
 
 Adding a checker is therefore registration-only: write the module, add a
-spec here, and the suite, executor, serve, and cluster tiers pick it up
+spec here, and the suite, executor, and serve tiers pick it up
 without edits (see ``docs/architecture.md``, "Checker plugin API").
 """
 

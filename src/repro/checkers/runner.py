@@ -43,10 +43,6 @@ class CheckerFailure:
 
     checker: str
     error: str
-    #: Cluster node label the failing shard ran on ("" when local).
-    #: Excluded from :meth:`describe` so run signatures stay mode-
-    #: independent — the label is context, not part of the outcome.
-    node: str = ""
 
     def describe(self) -> str:
         return f"checker {self.checker} failed: {self.error}"
@@ -114,11 +110,11 @@ class CheckerSuite:
                 checks.discard("annotate")
         self._checks = registry.validate_checks(checks)
         #: ``shard_runner(check_list, wanted) -> {checker: ("ok",
-        #: findings, claimed) | ("err", message, node)} | None`` — the
+        #: findings, claimed) | ("err", message)} | None`` — the
         #: engine's executor hook.  A checker absent from the dict (or a
         #: ``None`` return) falls back to the inline path below; "err"
         #: reproduces the serial ``_guarded`` outcome for a checker that
-        #: raised, tagged with the node label the shard ran on.
+        #: raised.
         self._shard_runner = shard_runner
         #: Per-entry ordering outcomes of the previous run; without one
         #: passed in, every run checks every entry.
@@ -263,9 +259,8 @@ class CheckerSuite:
             if outcome is not None and outcome[0] == "ok":
                 findings, claimed = outcome[1], outcome[2]
             elif outcome is not None:
-                node = outcome[2] if len(outcome) > 2 else ""
                 report.checker_failures.append(
-                    CheckerFailure(spec.name, outcome[1], node=node)
+                    CheckerFailure(spec.name, outcome[1])
                 )
                 continue
             else:

@@ -8,9 +8,6 @@ Usage::
     ofence report [--seed N] [--small]    # full §6 evaluation report
     ofence serve [--port N]               # analysis-as-a-service daemon
     ofence submit DIR --server URL        # submit a tree to the daemon
-    ofence cluster serve --node URL ...   # coordinator over worker nodes
-    ofence cluster submit DIR --server U  # submit to a coordinator
-    ofence cluster status --server URL    # node liveness + cluster metrics
     ofence history --store-dir DIR        # recorded runs in the store
     ofence diff [A B] --store-dir DIR     # classify findings across runs
     ofence triage list|mark ...           # per-fingerprint triage states
@@ -202,63 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--trace", type=Path, default=None, metavar="PATH",
                         help="trace the job server-side and write the "
                              "Chrome trace_event JSON to PATH")
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="sharded multi-node analysis (coordinator over N worker "
-             "daemons; see repro.cluster)",
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command",
-                                         required=True)
-
-    cserve = cluster_sub.add_parser(
-        "serve",
-        help="run a coordinator daemon: the serve API in front, shard "
-             "fan-out to --node workers behind",
-    )
-    cserve.add_argument("--node", action="append", required=True,
-                        metavar="URL", dest="nodes",
-                        help="worker node base URL (repeat per node); "
-                             "each is a plain `ofence serve` daemon")
-    cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument("--port", type=int, default=8732)
-    cserve.add_argument("--pool-size", type=int, default=4)
-    cserve.add_argument("--queue-capacity", type=int, default=32)
-    cserve.add_argument("--batch-limit", type=int, default=8)
-    cserve.add_argument("--job-workers", type=int, default=1)
-    cserve.add_argument("--node-timeout", type=float, default=300.0,
-                        help="per-RPC timeout toward worker nodes")
-    _add_store_args(cserve)
-
-    csubmit = cluster_sub.add_parser(
-        "submit",
-        help="submit C files or a tree to a running coordinator "
-             "(same protocol as `ofence submit`)",
-    )
-    csubmit.add_argument("files", nargs="+", type=Path)
-    csubmit.add_argument("--server", default="http://127.0.0.1:8732",
-                         metavar="URL")
-    csubmit.add_argument("--write-window", type=int, default=5)
-    csubmit.add_argument("--read-window", type=int, default=50)
-    csubmit.add_argument("--json", action="store_true",
-                         help="print the raw JSON response")
-    csubmit.add_argument("--timeout", type=float, default=300.0)
-    csubmit.add_argument("--trace", type=Path, default=None, metavar="PATH",
-                         help="trace the submission across coordinator, "
-                              "shard nodes, and exec workers; write the "
-                              "Chrome trace_event JSON to PATH")
-
-    cstatus = cluster_sub.add_parser(
-        "status",
-        help="node liveness and ofence_cluster_* metrics",
-    )
-    cstatus.add_argument("--server", default=None, metavar="URL",
-                         help="coordinator URL (reads its /metrics)")
-    cstatus.add_argument("--node", action="append", default=[],
-                         metavar="URL", dest="nodes",
-                         help="worker node URL to health-probe directly "
-                              "(repeatable)")
-    cstatus.add_argument("--timeout", type=float, default=10.0)
 
     history = sub.add_parser(
         "history",
@@ -693,7 +633,7 @@ def cmd_submit(args) -> int:
     ))
     client = ServeClient(args.server, timeout=args.timeout)
     trace_id = None
-    if getattr(args, "trace", None) is not None:
+    if args.trace is not None:
         from repro.trace import new_id
 
         trace_id = new_id()
@@ -741,84 +681,6 @@ def cmd_submit(args) -> int:
     return 0
 
 
-def cmd_cluster_serve(args) -> int:
-    import signal
-    import threading
-
-    from repro.cluster import ClusterCoordinator
-
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-
-    coordinator = ClusterCoordinator(args.nodes, timeout=args.node_timeout)
-    nodes_up = coordinator.probe()
-    server = coordinator.make_server(
-        host=args.host,
-        port=args.port,
-        pool_capacity=args.pool_size,
-        queue_capacity=args.queue_capacity,
-        batch_limit=args.batch_limit,
-        workers=args.job_workers,
-        store_dir=str(args.store_dir) if args.store_dir else None,
-        store_label=args.store_label,
-    )
-    server.start()
-    live = sum(1 for up in nodes_up.values() if up)
-    print(f"ofence-cluster coordinating {live}/{len(nodes_up)} nodes "
-          f"on {server.url}", flush=True)
-    for url, up in nodes_up.items():
-        print(f"  node {url}: {'up' if up else 'DOWN'}", flush=True)
-    stop.wait()
-    print("draining: finishing accepted jobs ...", flush=True)
-    drained = server.drain(timeout=120)
-    coordinator.close()
-    print("shutdown complete" if drained else "drain timed out",
-          flush=True)
-    return 0 if drained else 1
-
-
-def cmd_cluster_status(args) -> int:
-    import json as _json
-
-    from repro.serve import ClientError, ServeClient
-
-    if not args.server and not args.nodes:
-        print("error: give --server and/or --node", file=sys.stderr)
-        return 2
-    failures = 0
-    if args.server:
-        client = ServeClient(args.server, timeout=args.timeout)
-        try:
-            cluster = client.metrics().get("cluster") or {}
-            print(f"coordinator {args.server}:")
-            print(_json.dumps(cluster, indent=2, default=str))
-        except (ClientError, OSError) as exc:
-            print(f"coordinator {args.server}: unreachable ({exc})",
-                  file=sys.stderr)
-            failures += 1
-    for url in args.nodes:
-        client = ServeClient(url, timeout=args.timeout)
-        try:
-            health = client.healthz()
-            shard = client.metrics().get("shard") or {}
-            print(f"node {url}: {health.get('status', 'ok')} "
-                  f"(shard ops={shard.get('ops', 0)} "
-                  f"scan_files={shard.get('scan_files', 0)})")
-        except (ClientError, OSError) as exc:
-            print(f"node {url}: DOWN ({exc})")
-            failures += 1
-    return 1 if failures else 0
-
-
-def cmd_cluster(args) -> int:
-    return {
-        "serve": cmd_cluster_serve,
-        "submit": cmd_submit,
-        "status": cmd_cluster_status,
-    }[args.cluster_command](args)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {
@@ -832,7 +694,6 @@ def main(argv: list[str] | None = None) -> int:
         "eval": cmd_eval,
         "serve": cmd_serve,
         "submit": cmd_submit,
-        "cluster": cmd_cluster,
         "history": cmd_history,
         "diff": cmd_diff,
         "triage": cmd_triage,

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.barrier_scan import BarrierScanner, BarrierSite, ScanLimits
 from repro.checkers.runner import CheckerSuite, CheckMemo, CheckReport
@@ -50,6 +50,9 @@ from repro.kernel.barriers import BARRIER_PRIMITIVES
 from repro.kernel.config import KernelConfig, default_config
 from repro.patching.generate import Patch, PatchGenerator
 from repro.trace.context import count, recording, span
+
+if TYPE_CHECKING:
+    from repro.exec.executor import AnalysisExecutor
 
 #: Regex matching any barrier primitive or seqcount helper call; used for
 #: the cheap "does this file contain barriers?" pre-filter.
@@ -197,7 +200,9 @@ class AnalysisOptions:
     #: scan/pair/check stages to.  None + ``workers > 1`` falls back to
     #: the process-wide default pool.  Excluded from comparison/repr:
     #: the executor is an execution vehicle, not a semantic knob.
-    executor: object | None = field(default=None, repr=False, compare=False)
+    executor: AnalysisExecutor | None = field(
+        default=None, repr=False, compare=False
+    )
     #: Minimum work items (pending scans, unmemoized write barriers,
     #: check entries) before a stage is sharded across the executor;
     #: below it the IPC overhead beats the parallel win.
@@ -513,7 +518,7 @@ class OFenceEngine:
         """
         executor = self.options.executor
         if executor is not None:
-            return None if getattr(executor, "closed", False) else executor
+            return None if executor.closed else executor
         workers = self.options.workers
         if workers is not None and workers > 1:
             from repro.exec.executor import get_default_executor
@@ -691,10 +696,7 @@ class OFenceEngine:
                 if shard is None:
                     continue  # that checker falls back to inline
                 if shard[0] == "checkerfail":
-                    # Cluster shards carry the node label the failing
-                    # shard ran on; local shards do not.
-                    node = shard[2] if len(shard) > 2 else ""
-                    out[name] = ("err", shard[1], node)
+                    out[name] = ("err", shard[1])
                     continue
                 spec = registry.get(name)
                 findings = []
@@ -980,27 +982,6 @@ def _run_serve(
     from repro.serve.mode import run_via_service  # lazy: serve imports us
 
     return run_via_service(source, options)
-
-
-@register_run_mode("cluster")
-def _run_cluster(
-    source: KernelSource, options: AnalysisOptions | None = None
-) -> AnalysisResult:
-    """Full analysis through a live in-process mini-cluster.
-
-    Spins up two worker daemons and a coordinator, runs the tree once
-    on the healthy cluster and once with a node killed mid-analysis,
-    checks the two results agree, and returns the crash-run result —
-    so the differential oracle holds the sharded scan, replicated
-    pairing search, checker fan-out, *and* the failover path to the
-    serial reference.
-    """
-    opts = _mode_options(
-        options, workers=None, cache_dir=None, executor=None
-    )
-    from repro.cluster.mode import run_via_cluster  # lazy: imports us
-
-    return run_via_cluster(source, opts)
 
 
 @register_run_mode("store")

@@ -22,17 +22,14 @@ from repro.core.engine import (
 #: Modes exercised by default; "serial" is the reference.  "serve"
 #: submits the tree to an in-process ``repro.serve`` daemon over real
 #: HTTP, so the wire codec, queue, and engine pool are all under the
-#: differential oracle.  "cluster" coordinates a live two-node
-#: mini-cluster over the shard protocol — including a node crash
-#: injected mid-analysis — so sharding, merge, and failover are under
-#: the oracle too.  "traced" is serial under an active request trace,
+#: differential oracle.  "traced" is serial under an active request trace,
 #: continuously proving that tracing is strictly observational.
 # "store" records the serial result into a throwaway findings store
 # twice and asserts the store's own diff sees no drift, so the
 # fingerprint/record/diff round-trip is under the oracle too.
 DEFAULT_MODES: tuple[str, ...] = (
     "serial", "parallel", "cached", "incremental", "serve", "executor",
-    "cluster", "traced", "store",
+    "traced", "store",
 )
 
 

@@ -25,7 +25,6 @@ from repro.serve.mode import run_via_service
 from repro.serve.pool import EnginePool, PooledEngine, PoolStats
 from repro.serve.queue import Draining, Job, JobQueue, QueueFull
 from repro.serve.server import AnalysisServer, AnalysisService, ServeError
-from repro.serve.shard import ShardService, pack, unpack
 from repro.serve.wire import (
     decode_options,
     decode_source,
@@ -50,14 +49,11 @@ __all__ = [
     "QueueFull",
     "ServeClient",
     "ServeError",
-    "ShardService",
     "decode_options",
     "decode_source",
     "encode_options",
     "encode_source",
-    "pack",
     "result_summary",
     "run_via_service",
     "tree_key",
-    "unpack",
 ]

@@ -175,7 +175,7 @@ class MetricsRegistry:
         """Everything recorded plus the caller's live gauge groups.
 
         ``queue``/``pool``/``executor`` keep their historical slots;
-        any further keyword (``shard``, ``cluster``, ...) becomes an
+        any further keyword (``store``, ...) becomes an
         additional gauge group rendered under ``ofence_<group>_``.
         """
         with self._lock:
@@ -279,25 +279,8 @@ def _number(value: Any) -> float | int | None:
 
 
 def _emit_gauges(lines: list[str], prefix: str, values: dict) -> None:
-    """Render one gauge group: flat numerics as ``<prefix><name>``,
-    one-level dicts as labelled series (``{item="..."}``) — e.g. the
-    cluster group's per-node latency/error gauges."""
+    """Render one gauge group's numerics as ``<prefix><name>``."""
     for name, value in values.items():
         number = _number(value)
         if number is not None:
             lines.append(f"{prefix}{name} {number}")
-        elif isinstance(value, dict):
-            for item, sub in value.items():
-                number = _number(sub)
-                if number is not None:
-                    lines.append(
-                        f'{prefix}{name}{{item="{item}"}} {number}'
-                    )
-                elif isinstance(sub, dict):
-                    for metric, raw in sub.items():
-                        number = _number(raw)
-                        if number is not None:
-                            lines.append(
-                                f'{prefix}{name}_{metric}'
-                                f'{{item="{item}"}} {number}'
-                            )

@@ -23,9 +23,7 @@ Two layers:
 Tracing: a submission carrying ``X-Repro-Trace`` (``<trace id>`` or
 ``<trace id>/<parent span id>``) gets a per-job trace — the job span,
 the engine's stage spans, and any exec-worker spans — retrievable at
-``/v1/jobs/<id>/trace``.  The shard endpoints honour the same header
-and return their spans inline in the response (``"spans"``), which is
-how a coordinator stitches node spans into one request tree.
+``/v1/jobs/<id>/trace``.
 
 Backpressure: a full queue or a draining server answers ``503`` with a
 ``Retry-After`` header.  Graceful drain (SIGTERM in the CLI) stops
@@ -36,6 +34,7 @@ listener down.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import traceback
 from contextlib import contextmanager
@@ -133,15 +132,6 @@ class AnalysisService:
             from repro.store import FindingsStore
 
             self.store = FindingsStore(store_dir)
-        # Every daemon is also a cluster worker node: the shard
-        # endpoints expose the executor stage offloads over HTTP (lazy
-        # import — repro.serve.shard imports this module's ServeError).
-        from repro.serve.shard import ShardService
-
-        self.shard = ShardService(
-            executor=self.executor,
-            accepting=lambda: self.queue.accepting,
-        )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{i}",
@@ -471,12 +461,6 @@ class AnalysisService:
         }
         if self.executor is not None:
             gauges["executor"] = self.executor.snapshot()
-        gauges["shard"] = self.shard.snapshot()
-        # A coordinator daemon's executor is a ClusterExecutor; surface
-        # its per-node view as the ofence_cluster_* gauge group.
-        cluster = getattr(self.executor, "cluster_snapshot", None)
-        if callable(cluster):
-            gauges["cluster"] = cluster()
         if self.store is not None:
             gauges["store"] = self.store.stats()
         return gauges
@@ -623,25 +607,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _trace_ctx(self) -> tuple[str, str | None] | None:
         return parse_header(self.headers.get(TRACE_HEADER))
 
-    def _handle_shard(self, op: str) -> None:
-        payload = self._read_body()
-        trace_ctx = self._trace_ctx()
-        if trace_ctx is None:
-            self._send_json(200, self.service.shard.handle(op, payload))
-            return
-        # Shard requests are synchronous: record spans into a
-        # per-request trace and return them inline, so the coordinator
-        # can stitch this node's work under its RPC span.
-        trace_id, parent = trace_ctx
-        trace = Trace(trace_id=trace_id, node=self.service.node_label)
-        with activate(trace, parent=parent):
-            with span(f"shard.{op}"):
-                out = self.service.shard.handle(op, payload)
-        out = dict(out)
-        out["spans"] = trace.export()
-        self.service.metrics.observe_trace(trace)
-        self._send_json(200, out)
-
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         url = urlparse(self.path)
         query = parse_qs(url.query)
@@ -665,14 +630,6 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
                 "reanalyze",
             )
-        elif url.path.startswith("/v1/shard/"):
-            op = url.path[len("/v1/shard/"):]
-            if op in ("ctx", "scan", "pairsync", "cand", "check"):
-                self._dispatch(
-                    lambda: self._handle_shard(op), f"shard.{op}"
-                )
-            else:
-                self._dispatch(lambda: self._not_found(url.path), "unknown")
         elif url.path == "/v1/runs":
             self._dispatch(
                 lambda: self._send_json(
@@ -846,6 +803,14 @@ class AnalysisServer:
 
     def stop(self) -> None:
         self.service.close()
+        # ``shutdown`` alone waits out the serve loop's 0.5 s poll tick.
+        # A shut-down listening socket polls ready at once, so the loop
+        # wakes and sees the shutdown request now (where the platform
+        # refuses to shut a listener down, the tick still ends it).
+        try:
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

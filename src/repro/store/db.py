@@ -16,7 +16,7 @@ Concurrency: connections are per-thread (created lazily, all closed on
 :meth:`close`), every write happens in a single ``BEGIN IMMEDIATE``
 transaction — so a run is recorded atomically or not at all — and a
 generous ``busy_timeout`` makes concurrent writers (two serve workers,
-or a cluster coordinator and a local CLI sharing one ``--store-dir``)
+or a daemon and a local CLI sharing one ``--store-dir``)
 queue instead of corrupting or interleaving partial runs.
 """
 

@@ -13,7 +13,7 @@ fingerprint falls into exactly one class:
 
 The classification is a pure function of its inputs and the rendering
 is canonically sorted, so two stores that recorded the same two runs —
-no matter through which tier (CLI, serve daemon, cluster coordinator) —
+no matter through which tier (CLI or serve daemon) —
 produce bit-for-bit identical diff output.
 
 Counting invariants (the property suite holds these for arbitrary

@@ -1,13 +1,13 @@
 """Request-scoped structured tracing across every execution tier.
 
-One analysis request — CLI one-shot, daemon job, or cluster submit —
-produces one :class:`Trace`: a flat, thread-safe collection of timed
+One analysis request — CLI one-shot or daemon job — produces one
+:class:`Trace`: a flat, thread-safe collection of timed
 :class:`SpanRecord` entries that reconstruct into a tree by parent id.
 The engine opens spans around its stages, the process-pool protocol
-carries span context into workers and back, and the serve/cluster HTTP
-paths propagate the trace id via the ``X-Repro-Trace`` header — so a
-single cluster submission yields one coherent span tree covering the
-coordinator, every shard node, and the nodes' exec workers.
+carries span context into workers and back, and the serve HTTP path
+propagates the trace id via the ``X-Repro-Trace`` header — so a single
+daemon submission yields one coherent span tree covering the job, the
+engine stages, and the exec workers.
 
 Tracing is ambient (a :mod:`contextvars` context variable) and strictly
 observational: with no active trace every instrumentation point outside

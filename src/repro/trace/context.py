@@ -28,7 +28,7 @@ the active trace.
 
 Thread fan-outs must give each thread its own context copy
 (``contextvars.copy_context().run`` — one Context object cannot be
-entered concurrently); the cluster executor does exactly that.
+entered concurrently).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def activate(trace: Trace, parent: str | None = None):
     """Install ``trace`` as the ambient trace for the block.
 
     ``parent`` seeds the current span id, so spans opened inside parent
-    to a span that lives elsewhere (the coordinator's RPC span, say).
+    to a span that lives elsewhere (the submitting client's, say).
     """
     token = _ACTIVE.set((trace, parent))
     try:

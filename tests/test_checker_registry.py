@@ -1,14 +1,11 @@
 """Checker registry tests: metadata consistency, the acquire-release
-checker (registered, never special-cased), cross-tier dispatch parity
-for random checker subsets, and the cluster node tag on shard checker
-failures.
+checker (registered, never special-cased), and cross-tier dispatch
+parity for random checker subsets.
 """
 
 import random
 
 import pytest
-
-from tests.cluster_harness import ClusterHarness
 
 from repro.checkers import registry
 from repro.checkers.model import DeviationKind, FixAction
@@ -184,7 +181,7 @@ class TestSubsetDispatchParity:
     """Satellite: random checker subsets are mode-independent."""
 
     @pytest.mark.parametrize("seed", [11, 29])
-    def test_serial_executor_cluster_byte_identical(self, seed):
+    def test_serial_executor_byte_identical(self, seed):
         rng = random.Random(seed)
         names = sorted(registry.all_names())
         subset = frozenset(rng.sample(names, rng.randint(1, len(names))))
@@ -194,7 +191,7 @@ class TestSubsetDispatchParity:
         options = AnalysisOptions(checks=subset, exec_min_batch=1)
         problems = check_differential(
             lambda: case.source,
-            modes=("serial", "executor", "cluster"),
+            modes=("serial", "executor"),
             options=options,
         )
         assert problems == [], f"subset {sorted(subset)}: {problems}"
@@ -220,44 +217,3 @@ class TestSubsetDispatchParity:
                     assert kind not in kinds, (name, kind)
             for kind in kinds:
                 assert declared_by[kind] & enabled, (name, kind)
-
-
-class TestClusterCheckerFailureNodeTag:
-    """Satellite: a checkerfail in a cluster shard keeps its node."""
-
-    def test_shard_checkerfail_surfaces_with_node_label(self, monkeypatch):
-        from repro.checkers.seqcount import SeqcountChecker
-
-        def explode(self, pairings):
-            raise RuntimeError("synthetic shard crash")
-
-        monkeypatch.setattr(SeqcountChecker, "check", explode)
-        source = KernelSource(files={"a.c": BUGGY_ACQREL})
-        with ClusterHarness(nodes=2) as harness:
-            result = harness.coordinator.analyze(source)
-        failures = [
-            f for f in result.report.checker_failures
-            if f.checker == "seqcount"
-        ]
-        assert len(failures) == 1
-        failure = failures[0]
-        assert "synthetic shard crash" in failure.error
-        assert failure.node in harness.urls
-        # The label is context, not outcome: describe() must stay
-        # mode-independent so run signatures keep matching serial.
-        assert failure.node not in failure.describe()
-
-    def test_serial_failure_has_no_node(self, monkeypatch):
-        from repro.checkers.seqcount import SeqcountChecker
-
-        def explode(self, pairings):
-            raise RuntimeError("synthetic serial crash")
-
-        monkeypatch.setattr(SeqcountChecker, "check", explode)
-        result = _analyze(BUGGY_ACQREL)
-        failures = [
-            f for f in result.report.checker_failures
-            if f.checker == "seqcount"
-        ]
-        assert len(failures) == 1
-        assert failures[0].node == ""

@@ -435,9 +435,18 @@ class TestEndpoints:
         assert excinfo.value.status == 404
 
     def test_unknown_endpoint_404(self, client):
-        with pytest.raises(ClientError) as excinfo:
-            client._request("GET", "/v1/nope")
-        assert excinfo.value.status == 404
+        # /v1/shard/* was a multi-node offload protocol whose pairsync
+        # unpickled its "upserts" field once ctx had installed an epoch;
+        # a daemon must not route it.
+        for method, path, body in (
+            ("GET", "/v1/nope", None),
+            ("POST", "/v1/shard/ctx", {"epoch": "e1"}),
+            ("POST", "/v1/shard/pairsync",
+             {"epoch": "e1", "ns": "n1", "upserts": "", "removes": []}),
+        ):
+            with pytest.raises(ClientError) as excinfo:
+                client._request(method, path, body)
+            assert excinfo.value.status == 404, path
 
     def test_bad_json_400(self, client, server):
         import urllib.error
@@ -568,6 +577,13 @@ class TestBackpressureAndDrain:
         job = server.service.job(submitted["job_id"])
         assert job.status == "done"
 
+    def test_stop_on_idle_daemon_is_immediate(self):
+        server = AnalysisServer().start()
+        ServeClient(server.url, timeout=60).healthz()
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.25
+
     def test_drain_then_submit_via_service_raises(self):
         service = AnalysisService(queue_capacity=2)
         assert service.drain(timeout=10) is True
@@ -576,6 +592,73 @@ class TestBackpressureAndDrain:
         with pytest.raises(ServeError) as excinfo:
             service.submit_analyze({"source": encode_source(small_source())})
         assert excinfo.value.status == 503
+
+
+# ---------------------------------------------------------------------------
+# Client retry
+# ---------------------------------------------------------------------------
+
+
+class TestClientRetry:
+    """Connection resets back off like 503s do."""
+
+    def _client(self) -> ServeClient:
+        return ServeClient("http://127.0.0.1:9")
+
+    def test_connection_reset_backs_off_and_retries(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        calls = {"n": 0}
+
+        def submit():
+            calls["n"] += 1
+            if calls["n"] < 3:
+                raise ConnectionResetError("peer reset")
+            return {"status": "done"}
+
+        out = self._client().submit_with_retry(submit)
+        assert out == {"status": "done"}
+        assert calls["n"] == 3
+        assert sleeps == [0.25, 0.5]
+
+    def test_reset_after_503_honours_the_retry_after_hint(
+        self, monkeypatch
+    ):
+        sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        responses = [
+            ClientError(503, "busy", retry_after=2.5),
+            ConnectionResetError("peer reset"),
+        ]
+
+        def submit():
+            if responses:
+                raise responses.pop(0)
+            return {"status": "done"}
+
+        out = self._client().submit_with_retry(submit)
+        assert out == {"status": "done"}
+        assert sleeps == [2.5, 2.5]
+
+    def test_exhausted_retries_raise_the_last_error(self, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda _s: None)
+
+        def submit():
+            raise ConnectionRefusedError("down for good")
+
+        with pytest.raises(ConnectionRefusedError):
+            self._client().submit_with_retry(submit, attempts=3)
+
+    def test_non_503_http_errors_raise_immediately(self):
+        calls = {"n": 0}
+
+        def submit():
+            calls["n"] += 1
+            raise ClientError(400, "bad request")
+
+        with pytest.raises(ClientError):
+            self._client().submit_with_retry(submit)
+        assert calls["n"] == 1
 
 
 # ---------------------------------------------------------------------------
