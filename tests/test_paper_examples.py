@@ -242,6 +242,11 @@ class TestListing4:
             f.object_key is not None and f.object_key.field == "sp_state"
             for f in report.ordering_findings
         )
+        # The guard moves below the barrier as a unit, in source order.
+        assert any(
+            "\tsmp_rmb();\n\tif (!(bp->sp_state & 1))\n\t\treturn 0;\n"
+            in (p.new_source or "") for p in patches
+        )
 
 
 class TestPatch5:
