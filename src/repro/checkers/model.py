@@ -74,7 +74,10 @@ class Finding:
 
     @property
     def finding_id(self) -> str:
-        return f"{self.kind.value}@{self.filename}:{self.function}:{self.line}"
+        """``kind@file:function:line``, plus the object key when there is
+        one: one line can hold two findings on different objects."""
+        base = f"{self.kind.value}@{self.filename}:{self.function}:{self.line}"
+        return base if self.object_key is None else f"{base}:{self.object_key}"
 
     def describe(self) -> str:
         return (

@@ -3,8 +3,10 @@
 Three oracles run per generated case, cheapest first:
 
 1. **Crash** — serial analysis must not raise, must not record
-   internal-error ``files_failed`` entries or ``checker_failures``, and
-   generated code must parse (a parse error means a generator bug).
+   internal-error ``files_failed`` entries or ``checker_failures``,
+   generated code must parse (a parse error means a generator bug), and
+   every patch's diff must equal ``difflib.unified_diff`` of the file
+   and its patched text (the reference for the direct-hunk path).
 2. **Differential** — every registered run mode must produce the exact
    serial signature (:mod:`repro.fuzz.differential`).
 3. **Metamorphic** — semantics-preserving transforms must yield
@@ -16,6 +18,7 @@ Failures are delta-debugged to minimal reproducers and written to
 
 from __future__ import annotations
 
+import difflib
 import random
 from dataclasses import dataclass, field
 
@@ -104,6 +107,17 @@ def crash_detail(files: dict[str, str],
         return parse_detail
     if result.report.checker_failures:
         return result.report.checker_failures[0].describe()
+    for patch in result.patches:
+        if patch.new_source is None:
+            continue
+        reference = "".join(difflib.unified_diff(
+            files[patch.filename].splitlines(keepends=True),
+            patch.new_source.splitlines(keepends=True),
+            f"a/{patch.filename}", f"b/{patch.filename}",
+        ))
+        if patch.diff != reference:
+            return (f"patch diff differs from difflib for "
+                    f"{patch.finding.finding_id}")
     return None
 
 

@@ -1,12 +1,14 @@
 """Tests for the JSON export and the `ofence json` CI entry point."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.core.engine import KernelSource, OFenceEngine
 from repro.core.export import result_to_dict, result_to_json
+from repro.corpus.generator import CorpusSpec, generate_corpus
 
 WRITER = """
 struct s { int flag; int data; };
@@ -72,6 +74,21 @@ class TestResultToDict:
     def test_table3_in_export(self, result):
         data = result_to_dict(result)
         assert data["table3"]["Misplaced memory access"] == 1
+
+
+class TestFindingIds:
+    def test_ids_unique_and_patches_join_one_finding(self):
+        # Seed 31 has two annotations on one line (`it->val + it->tag`),
+        # which share kind, file, function and line but not the object.
+        corpus = generate_corpus(CorpusSpec.small(), seed=31)
+        data = result_to_dict(OFenceEngine(corpus.source).analyze(),
+                              include_diffs=True)
+        ids = Counter(finding["id"] for group in data["findings"].values()
+                      for finding in group)
+        assert ids and max(ids.values()) == 1
+        assert data["patches"]
+        for patch in data["patches"]:
+            assert ids[patch["finding"]] == 1
 
 
 class TestJsonCommand:

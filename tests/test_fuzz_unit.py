@@ -265,6 +265,18 @@ class TestNeverRaiseHardening:
         assert detail is not None
         assert "unneeded" in detail
 
+    def test_crash_oracle_flags_diff_differing_from_difflib(
+            self, monkeypatch):
+        from repro.patching import generate as generate_mod
+
+        case = generate_case(6, force_patterns=["unneeded_wakeup"])
+        assert crash_detail(case.files, case.headers) is None
+        monkeypatch.setattr(generate_mod, "unified_diff",
+                            lambda old, new, filename: "bogus\n")
+        detail = crash_detail(case.files, case.headers)
+        assert detail is not None
+        assert detail.startswith("patch diff differs from difflib")
+
     def test_internal_error_not_masked_by_earlier_parse_failure(self):
         """A parse failure on one file must not hide an internal-stage
         failure on a later file: the latter is the real oracle signal."""

@@ -1,11 +1,20 @@
 """Unit tests for patch generation, the renderer and the editor."""
 
+import difflib
+import random
 import textwrap
 
 from repro.checkers.model import DeviationKind
 from repro.cparse import astnodes as ast
 from repro.cparse.parser import parse_source
-from repro.patching.diff import SourceEditor, indentation_of, unified_diff
+from repro.core.engine import OFenceEngine
+from repro.corpus.generator import CorpusSpec, generate_corpus
+from repro.patching.diff import (
+    SourceEditor,
+    _forced_hunk,
+    indentation_of,
+    unified_diff,
+)
 from repro.patching.generate import PatchGenerator
 from repro.patching.render import render_expr
 
@@ -97,6 +106,16 @@ class TestSourceEditor:
         editor.delete_line(1)
         assert editor.dirty
 
+    def test_shared_lines_are_read_only(self):
+        lines = self.SRC.splitlines()
+        editor = SourceEditor(self.SRC, lines)
+        editor.delete_line(1)
+        editor.replace_line(2, "L2")
+        editor.insert_after(3, "after")
+        assert editor.result() == "L2\nline3\nafter\n"
+        assert lines == ["line1", "line2", "line3"]
+        assert SourceEditor(self.SRC, lines).result() == self.SRC
+
     def test_no_trailing_newline_preserved(self):
         editor = SourceEditor("a\nb")
         editor.replace_line(1, "A")
@@ -116,6 +135,61 @@ class TestUnifiedDiff:
 
     def test_empty_diff_for_identical(self):
         assert unified_diff("same\n", "same\n", "f.c") == ""
+
+    def test_forced_hunk_matches_difflib(self):
+        """Seeded property: one replaced or deleted line, byte for byte
+        against difflib, on inputs where many alignments tie."""
+        rng = random.Random(2023)
+        forced = 0
+        for _ in range(3000):
+            alphabet = [f"x{i};" for i in range(rng.randint(1, 5))]
+            size = rng.choice((rng.randint(1, 12), rng.randint(1, 260)))
+            old = [rng.choice(alphabet) for _ in range(size)]
+            new = list(old)
+            where = rng.randrange(size)
+            if rng.random() < 0.5:
+                new[where] = rng.choice(alphabet + ["y;"])
+            else:
+                del new[where]
+            eol = rng.choice(("\n", "\n", "\r\n"))
+            tail = "" if rng.random() < 0.1 else eol
+            old_text = eol.join(old) + tail
+            new_text = eol.join(new) + tail if new else ""
+            a = old_text.splitlines(keepends=True)
+            b = new_text.splitlines(keepends=True)
+            assert unified_diff(old_text, new_text, "f.c") == "".join(
+                difflib.unified_diff(a, b, "a/f.c", "b/f.c")
+            ), (old_text, new_text)
+            forced += _forced_hunk(a, b, "f.c", 3) is not None
+        assert forced > 500  # the direct path is exercised, not bypassed
+
+    def test_forced_hunk_declines_ambiguous_alignment(self):
+        # The removed line recurs below it: difflib may align either copy.
+        assert _forced_hunk(["a\n", "a\n"], ["b\n", "a\n"], "f.c", 3) \
+            is None
+        # The deletion joins a pair already adjacent elsewhere.
+        old = ["p\n", "q\n", "p\n", "x\n", "q\n"]
+        assert _forced_hunk(old, old[:3] + old[4:], "f.c", 3) is None
+        # From 200 lines on, difflib's autojunk heuristic may apply.
+        lines = [f"l{i}\n" for i in range(200)]
+        assert _forced_hunk(lines, ["new\n"] + lines[1:], "f.c", 3) is None
+        assert _forced_hunk(lines[1:], ["new\n"] + lines[2:], "f.c", 3)
+
+    def test_corpus_patches_match_difflib(self):
+        corpus = generate_corpus(CorpusSpec.small(), seed=7)
+        result = OFenceEngine(corpus.source).analyze()
+        checked = 0
+        for patch in result.patches:
+            if patch.new_source is None:
+                continue
+            old = corpus.source.files[patch.filename]
+            assert patch.diff == "".join(difflib.unified_diff(
+                old.splitlines(keepends=True),
+                patch.new_source.splitlines(keepends=True),
+                f"a/{patch.filename}", f"b/{patch.filename}",
+            )), patch.finding.finding_id
+            checked += 1
+        assert checked > 100
 
 
 def generate_patches(src, filename="test.c", annotate=False):
