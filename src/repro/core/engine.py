@@ -117,7 +117,9 @@ class KernelSource:
     #: path -> CONFIG_* option guarding compilation of that file.
     file_options: dict[str, str] = field(default_factory=dict)
     #: path -> (text hash, has-barriers) memo for the regex pre-filter,
-    #: which both ``analyze`` and every ``reanalyze_file`` consult.
+    #: which both ``analyze`` and every ``reanalyze_file`` consult
+    #: (counters ``prefilter.hits``/``prefilter.misses``).  Each call
+    #: rebuilds it to the current files.
     _barrier_memo: dict[str, tuple[int, bool]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -127,14 +129,19 @@ class KernelSource:
 
     def files_with_barriers(self) -> list[str]:
         out: list[str] = []
+        previous, self._barrier_memo = self._barrier_memo, {}
+        misses = 0
         for path, text in sorted(self.files.items()):
             token = hash(text)
-            memo = self._barrier_memo.get(path)
+            memo = previous.get(path)
             if memo is None or memo[0] != token:
                 memo = (token, _BARRIER_RE.search(text) is not None)
-                self._barrier_memo[path] = memo
+                misses += 1
+            self._barrier_memo[path] = memo
             if memo[1]:
                 out.append(path)
+        count("prefilter.hits", len(self.files) - misses)
+        count("prefilter.misses", misses)
         return out
 
     @classmethod
@@ -216,6 +223,10 @@ class FileAnalysis:
     ``scanner`` is ``None`` for results that came back from a worker
     process or the on-disk cache; the engine re-materializes it lazily
     the first time a checker or patcher needs this file's CFGs.
+
+    An entry is valid while ``key`` matches the file's current scan key;
+    a re-scan replaces it, and a file leaving the selection drops it, so
+    everything memoized per file lives here and goes with it.
     """
 
     filename: str
@@ -224,6 +235,10 @@ class FileAnalysis:
     parse_error: str | None = None
     #: Content hash of the scan inputs (see ``repro.core.cache``).
     key: str | None = None
+    #: The patch stage's memo bucket for this file (see
+    #: :class:`repro.patching.generate.PatchGenerator`), left by every
+    #: run holding exactly the findings it patched.
+    patches: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -284,20 +299,11 @@ class OFenceEngine:
         #: must take turns.  Re-entrant so a locked caller can compose
         #: engine methods.
         self._lock = threading.RLock()
-        #: path -> (text hash, header closure) memo for key computation.
-        self._closure_memo: dict[str, tuple[int, list[tuple[str, str]]]] = {}
-        #: path -> (scan key, finding-key -> generated patch content);
-        #: validated against the file's content-addressed scan key, so
-        #: incremental re-analyses only rebuild diffs the edit changed.
-        self._patch_memo: dict[str, tuple] = {}
         #: Per-entry ordering-checker outcomes of the last run; an
         #: incremental run re-checks only the pairings an edit touched.
         self._check_memo = CheckMemo()
         #: Worker-side pairing-index namespace (see ``_EXEC_NS_IDS``).
         self._exec_ns = f"eng{next(_EXEC_NS_IDS)}"
-        #: (token, ExecContext) memo so warm re-runs skip re-hashing the
-        #: header table.
-        self._ctx_memo: tuple | None = None
 
     # -- selection --------------------------------------------------------------
 
@@ -317,18 +323,24 @@ class OFenceEngine:
 
     def analyze(self) -> AnalysisResult:
         with self._lock:
-            return self._run(self._scan_selected)
+            return self._run(lambda selected: self._scan(selected, selected))
 
     def reanalyze_file(self, path: str, new_text: str | None = None) -> AnalysisResult:
         """Incremental mode: re-scan one file, re-run pairing + checks."""
         with self._lock:
             if new_text is not None:
                 self.source.files[path] = new_text
-            return self._run(lambda selected: self._scan_file(path, selected))
+            return self._run(lambda selected: self._scan(
+                selected, [path] if path in selected else []
+            ))
 
-    def _scan_selected(self, selected: list[str]) -> None:
+    def _scan(self, selected: list[str], paths: list[str]) -> None:
+        """Bring the entries of ``paths`` (among ``selected``) up to
+        date; drop the entries of files no longer selected."""
         with span("engine.scan") as t_scan:
-            pending = self._refresh_cache(selected)
+            for path in self._file_cache.keys() - set(selected):
+                del self._file_cache[path]
+            pending = self._refresh_cache(paths)
             if pending:
                 executor = (
                     self._active_executor() if len(pending) > 1 else None
@@ -341,21 +353,8 @@ class OFenceEngine:
                     self._scan_single(path, key)
             count("scan.scanned", len(pending))
             if t_scan is not None:
-                t_scan.meta["files"] = len(selected)
+                t_scan.meta["files"] = len(paths)
                 t_scan.meta["scanned"] = len(pending)
-
-    def _scan_file(self, path: str, selected: list[str]) -> None:
-        with span("engine.scan", file=path):
-            if path in selected:
-                key = self._scan_key(path)
-                cached = self._file_cache.get(path)
-                if cached is not None and cached.key == key:
-                    count("scan.memory_hits")
-                elif not self._load_from_disk(path, key):
-                    self._scan_single(path, key)
-                    count("scan.scanned")
-            else:
-                self._file_cache.pop(path, None)
 
     # -- shared pipeline tail ------------------------------------------------------------
 
@@ -424,19 +423,17 @@ class OFenceEngine:
         with span("engine.patch"):
             generator = PatchGenerator(
                 self.source.files, self._cfg_lookup,
-                memo=self._patch_memo, file_key=self._patch_memo_key,
+                memo={
+                    path: entry.patches
+                    for path, entry in self._file_cache.items()
+                },
             )
             patches = generator.generate_all(report.all_findings)
-            if generator.memo_hits:
-                count("patch.memo_hits", generator.memo_hits)
+            count("patch.memo_hits", generator.memo_hits)
+            count("patch.memo_misses", generator.memo_misses)
             if generator.failures:
                 count("patch.failed", len(generator.failures))
         return sites, pairing, report, patches
-
-    def _patch_memo_key(self, path: str) -> str | None:
-        """Current scan key of ``path`` (None = don't memoize)."""
-        cached = self._file_cache.get(path)
-        return cached.key if cached is not None else None
 
     def _sync_pairing_index(self, selected: list[str]) -> int:
         """Feed file-level deltas to the persistent pairing index.
@@ -462,41 +459,37 @@ class OFenceEngine:
 
     def _scan_key(self, path: str) -> str:
         text = self.source.files[path]
-        token = hash(text)
-        memo = self._closure_memo.get(path)
-        if memo is None or memo[0] != token:
-            memo = (token, header_closure(text, self.source.resolve_include))
-            self._closure_memo[path] = memo
         return scan_key(
-            text, self.options.config.defines(), memo[1], self.options.limits
+            text, self.options.config.defines(),
+            header_closure(text, self.source.resolve_include),
+            self.options.limits,
         )
 
-    def _refresh_cache(self, selected: list[str]) -> list[tuple[str, str]]:
+    def _refresh_cache(self, paths: list[str]) -> list[tuple[str, str]]:
         """Reconcile the in-memory cache; returns (path, key) to scan."""
         pending: list[tuple[str, str]] = []
         with span("engine.scan.keys"):
-            keys = {path: self._scan_key(path) for path in selected}
-        for path in selected:
+            keys = {path: self._scan_key(path) for path in paths}
+        memory_hits = disk_hits = 0
+        for path in paths:
             key = keys[path]
             cached = self._file_cache.get(path)
             if cached is not None and cached.key == key:
-                count("scan.memory_hits")
+                memory_hits += 1
                 continue
-            if self._load_from_disk(path, key):
+            payload = self._disk_cache.load(key)
+            if payload is not None:
+                self._file_cache[path] = FileAnalysis(
+                    filename=path, scanner=None, sites=payload.sites,
+                    parse_error=payload.parse_error, key=key,
+                )
+                disk_hits += 1
                 continue
             pending.append((path, key))
+        count("scan.memory_hits", memory_hits)
+        count("scan.memory_misses", len(paths) - memory_hits)
+        count("scan.disk_hits", disk_hits)
         return pending
-
-    def _load_from_disk(self, path: str, key: str) -> bool:
-        payload = self._disk_cache.load(key)
-        if payload is None:
-            return False
-        self._file_cache[path] = FileAnalysis(
-            filename=path, scanner=None, sites=payload.sites,
-            parse_error=payload.parse_error, key=key,
-        )
-        count("scan.disk_hits")
-        return True
 
     def _failed_files(self, selected: list[str]) -> list[FileFailure]:
         return [
@@ -527,29 +520,14 @@ class OFenceEngine:
         return None
 
     def _exec_context(self):
-        """Epoch-tagged shared context (defines/headers/limits), memoized
-        so warm re-runs skip re-hashing the header table."""
+        """Epoch-tagged shared context (defines/headers/limits)."""
         from repro.exec.protocol import ExecContext
 
-        defines = self.options.config.defines()
-        token = (
-            tuple(sorted(defines.items())),
-            tuple(sorted(
-                (name, hash(text))
-                for name, text in self.source.headers.items()
-            )),
+        return ExecContext.build(
+            self.options.config.defines(), self.source.headers,
             self.options.limits.write_window,
             self.options.limits.read_window,
         )
-        if self._ctx_memo is not None and self._ctx_memo[0] == token:
-            return self._ctx_memo[1]
-        ctx = ExecContext.build(
-            defines, self.source.headers,
-            self.options.limits.write_window,
-            self.options.limits.read_window,
-        )
-        self._ctx_memo = (token, ctx)
-        return ctx
 
     def _executor_scan(
         self, pending: list[tuple[str, str]], executor
@@ -742,10 +720,10 @@ class OFenceEngine:
 
         return spec.codec.decode_finding(wire, check_list, site_at, use_at)
 
-    def _scan_single(self, path: str, key: str | None = None) -> str | None:
-        if key is None:
-            key = self._scan_key(path)
+    def _scan_single(self, path: str, key: str) -> None:
         text = self.source.files[path]
+        scanner = error = None
+        sites: list[BarrierSite] = []
         try:
             unit = parse_source(
                 text,
@@ -755,31 +733,23 @@ class OFenceEngine:
             )
             registry = TypeRegistry()
             registry.add_unit(unit)
-            scanner = BarrierScanner(
+            fresh = BarrierScanner(
                 unit, registry=registry, limits=self.options.limits,
                 filename=path,
             )
-            sites = scanner.scan()
+            sites, scanner = fresh.scan(), fresh
         except Exception as exc:
             error = (
                 str(exc) if isinstance(exc, ParseError)
                 else f"{_INTERNAL_PREFIX}{type(exc).__name__}: {exc}"
             )
-            self._file_cache[path] = FileAnalysis(
-                filename=path, scanner=None, sites=[],
-                parse_error=error, key=key,
-            )
-            self._disk_cache.store(
-                key, CachedScan(filename=path, sites=[], parse_error=error)
-            )
-            return error
         self._file_cache[path] = FileAnalysis(
-            filename=path, scanner=scanner, sites=sites, key=key
+            filename=path, scanner=scanner, sites=sites,
+            parse_error=error, key=key,
         )
         self._disk_cache.store(
-            key, CachedScan(filename=path, sites=sites)
+            key, CachedScan(filename=path, sites=sites, parse_error=error)
         )
-        return None
 
     # -- lookups -------------------------------------------------------------------------
 
@@ -1026,23 +996,42 @@ def _run_store(
 def _run_incremental(
     source: KernelSource, options: AnalysisOptions | None = None
 ) -> AnalysisResult:
-    """Full analysis, then a touch-and-restore delta on every file.
+    """A warm re-analysis after header edits, then a touch-and-restore
+    delta on every file.
 
-    Each file gets a comment appended and is then restored, both through
+    The engine first analyzes the tree with every header replaced by an
+    unterminated struct, so that every includer fails to parse, then
+    restores the headers and analyzes again: that warm ``analyze()``
+    must re-scan the includers of the edited headers.  Then each file
+    gets a comment appended and is restored, both through
     ``reanalyze_file``.  Either delta re-scans the file and so replaces
     its barrier sites: the pairings over them are re-checked while the
     rest come from the check memo.  The last result is the one diffed
-    against serial mode.  The caller's tree is left untouched.
+    against serial mode; the warm result must equal it, since the deltas
+    re-scan every file and would hide a stale one.  The caller's tree is
+    left untouched.
     """
+    from repro.fuzz.differential import run_signature  # fuzz imports us
+
     opts = _mode_options(
         options, workers=None, cache_dir=None, executor=None
     )
-    engine = OFenceEngine(
-        dataclasses.replace(source, files=dict(source.files)), opts
-    )
-    result = engine.analyze()
+    engine = OFenceEngine(dataclasses.replace(
+        source, files=dict(source.files), headers=dict(source.headers)
+    ), opts)
+    headers = engine.source.headers
+    restored = dict(headers)
+    headers.update(dict.fromkeys(restored, "struct ofence_broken {\n"))
+    engine.analyze()
+    headers.update(restored)
+    result = warm = engine.analyze()
     for path in engine.selected_files()[0]:
         text = engine.source.files[path]
         engine.reanalyze_file(path, text + "\n/* touched */\n")
         result = engine.reanalyze_file(path, text)
+    if run_signature(warm) != run_signature(result):
+        raise AssertionError(
+            "warm analyze() after header edits differs from the same "
+            "tree after a delta on every file"
+        )
     return result

@@ -46,14 +46,6 @@ class Patch:
         return f"{self.header}\n{self.diff}" if self.diff else self.header
 
 
-#: Per-file memo buckets larger than this are dropped wholesale — a
-#: backstop against pairing churn accumulating dead keys on a long-lived
-#: engine (the daemon); buckets normally hold a handful of findings.
-_MEMO_BUCKET_CAP = 1024
-
-_MISS = object()
-
-
 def _memo_key(finding: Finding) -> tuple:
     """Everything patch generation reads off a finding.
 
@@ -89,78 +81,77 @@ def _memo_key(finding: Finding) -> tuple:
 class PatchGenerator:
     """Generates patches against pristine per-file sources.
 
-    With ``memo``/``file_key`` (provided by a long-lived engine),
-    generation results are cached per file: the memo maps ``filename →
-    (scan_key, bucket)`` and a bucket maps :func:`_memo_key` to the
-    generated content, so an incremental re-analysis only pays diff
-    construction for findings the edit actually changed.
+    With ``memo`` (provided by a long-lived engine), generation results
+    are reused per file: ``memo`` maps a filename to its bucket, and a
+    bucket maps :func:`_memo_key` to ``[outcome, run]``.  The caller
+    keeps each bucket valid for the file's current scan key (the engine
+    holds it on the file's ``FileAnalysis`` entry, which a re-scan
+    replaces); files absent from ``memo`` are not memoized.
+    :meth:`generate_all` updates the buckets in place and leaves each
+    holding exactly the keys its findings used, so an incremental
+    re-analysis only pays diff construction for findings the edit
+    actually changed.
     """
 
     def __init__(self, file_sources: dict[str, str], cfg_lookup=None,
-                 memo: dict | None = None, file_key=None):
+                 memo: dict[str, dict] | None = None):
         self._sources = file_sources
         #: (filename, ``splitlines()`` of its source) for the file last
         #: patched, shared read-only by its editors.  Findings arrive
         #: grouped by file, so one entry splits nearly every file once.
         self._lines: tuple[str | None, list[str]] = (None, [])
         self._cfg_lookup = cfg_lookup
-        self._memo = memo
-        self._file_key = file_key
+        self._memo = memo if memo is not None else {}
         #: (finding_id, error) pairs for findings whose patch generation
         #: raised — surfaced instead of aborting the run (never-raise).
         self.failures: list[tuple[str, str]] = []
         self.memo_hits = 0
-
-    def _bucket(self, filename: str) -> dict | None:
-        if self._memo is None or self._file_key is None:
-            return None
-        scan_key = self._file_key(filename)
-        if scan_key is None:
-            return None
-        entry = self._memo.get(filename)
-        if entry is None or entry[0] != scan_key:
-            entry = (scan_key, {})
-            self._memo[filename] = entry
-        bucket = entry[1]
-        if len(bucket) > _MEMO_BUCKET_CAP:
-            bucket.clear()
-        return bucket
+        self.memo_misses = 0
 
     def generate_all(self, findings: list[Finding]) -> list[Patch]:
+        # Entries are marked with this run's token; a hit only re-marks
+        # its entry, so it allocates nothing that outlives the lookup.
+        run = object()
         patches = []
         for finding in findings:
-            bucket = self._bucket(finding.filename)
-            key = _memo_key(finding) if bucket is not None else None
-            cached = bucket.get(key, _MISS) if bucket is not None else _MISS
-            if cached is not _MISS:
-                self.memo_hits += 1
-                outcome, payload = cached
-                if outcome == "patch":
-                    header, diff, new_source, applied = payload
-                    patches.append(Patch(
-                        finding, finding.filename, header, diff,
-                        new_source, applied=applied,
-                    ))
-                elif outcome == "error":
-                    self.failures.append((finding.finding_id, payload))
-                continue
-            try:
-                patch = self.generate(finding)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                self.failures.append((finding.finding_id, error))
-                if bucket is not None:
-                    bucket[key] = ("error", error)
-                continue
-            if patch is not None:
-                patches.append(patch)
-            if bucket is not None:
-                bucket[key] = (
-                    ("patch", (patch.header, patch.diff, patch.new_source,
-                               patch.applied))
-                    if patch is not None else ("none", None)
-                )
+            bucket = self._memo.get(finding.filename)
+            if bucket is None:
+                outcome = self._outcome(finding)
+            else:
+                key = _memo_key(finding)
+                entry = bucket.get(key)
+                if entry is None:
+                    self.memo_misses += 1
+                    entry = bucket[key] = [self._outcome(finding), run]
+                else:
+                    self.memo_hits += 1
+                    entry[1] = run
+                outcome = entry[0]
+            kind, payload = outcome
+            if kind == "patch":
+                header, diff, new_source, applied = payload
+                patches.append(Patch(
+                    finding, finding.filename, header, diff, new_source,
+                    applied=applied,
+                ))
+            elif kind == "error":
+                self.failures.append((finding.finding_id, payload))
+        for bucket in self._memo.values():
+            stale = [k for k, entry in bucket.items() if entry[1] is not run]
+            for key in stale:
+                del bucket[key]
         return patches
+
+    def _outcome(self, finding: Finding) -> tuple[str, object]:
+        """Generate ``finding``'s patch as a memoizable outcome."""
+        try:
+            patch = self.generate(finding)
+        except Exception as exc:
+            return ("error", f"{type(exc).__name__}: {exc}")
+        if patch is None:
+            return ("none", None)
+        return ("patch", (patch.header, patch.diff, patch.new_source,
+                          patch.applied))
 
     def generate(self, finding: Finding) -> Patch | None:
         source = self._sources.get(finding.filename)

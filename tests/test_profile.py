@@ -1,5 +1,6 @@
 """Tests for the stage profiler (repro.core.profile)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -83,6 +84,33 @@ class TestEngineProfile:
 @pytest.fixture(scope="module")
 def corpus():
     return generate_corpus(CorpusSpec.small(), seed=31)
+
+
+#: (hits, misses) counters of every engine memo, one pair per memo.
+MEMO_COUNTERS = (
+    ("prefilter.hits", "prefilter.misses"),
+    ("scan.memory_hits", "scan.memory_misses"),
+    ("scan.disk_hits", "scan.scanned"),
+    ("pair.candidates_reused", "pair.candidates_computed"),
+    ("check.reused", "check.rechecked"),
+    ("patch.memo_hits", "patch.memo_misses"),
+)
+
+
+class TestMemoCounters:
+    def test_fresh_run_never_hits_and_identical_rerun_never_misses(
+        self, corpus
+    ):
+        # A copy of the tree: the prefilter memo lives on the source.
+        engine = OFenceEngine(dataclasses.replace(corpus.source))
+        fresh = engine.analyze().profile.counters
+        warm = engine.analyze().profile.counters
+        for hits, misses in MEMO_COUNTERS:
+            assert fresh[hits] == 0 and fresh[misses] > 0, (hits, misses)
+            assert warm[misses] == 0 and hits in warm, (hits, misses)
+        # The in-memory entry serves the rerun; the disk is not asked.
+        assert warm["scan.memory_hits"] == fresh["scan.memory_misses"]
+        assert warm["patch.memo_hits"] == fresh["patch.memo_misses"]
 
 
 def _assert_stages_are_span_sums(result, trace) -> None:

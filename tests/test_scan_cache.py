@@ -1,5 +1,6 @@
 """Tests for the content-addressed scan cache (repro.core.cache)."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -13,6 +14,10 @@ from repro.core.cache import (
     scan_key,
 )
 from repro.core.engine import AnalysisOptions, KernelSource, OFenceEngine
+from repro.core.profile import StageProfile
+from repro.corpus import CorpusSpec, generate_corpus
+from repro.fuzz.differential import run_signature
+from repro.trace import recording
 
 WRITER = (
     "struct s { int flag; int data; };\n"
@@ -338,17 +343,51 @@ class TestEngineCacheIntegration:
         assert again.profile.counters.get("scan.memory_hits", 0) == 0
         assert again.profile.counters["scan.scanned"] == 2
 
+    def test_warm_engine_rescans_exactly_the_includers_of_an_edited_header(
+        self,
+    ):
+        corpus = generate_corpus(CorpusSpec.small(), seed=7)
+        engine = OFenceEngine(dataclasses.replace(
+            corpus.source, headers=dict(corpus.source.headers)
+        ))
+        engine.analyze()
+        source = engine.source
+        # An unterminated struct: every includer now fails to parse.
+        source.headers["kernel_types.h"] += "struct broken {\n"
+        warm = engine.analyze()
+        fresh = OFenceEngine(dataclasses.replace(source)).analyze()
+        assert run_signature(warm) == run_signature(fresh)
+        assert fresh.files_failed
+        includers = [
+            path for path in engine.selected_files()[0]
+            if "kernel_types.h" in dict(
+                header_closure(source.files[path], source.resolve_include)
+            )
+        ]
+        assert warm.profile.counters["scan.scanned"] == len(includers) > 0
+
+
+def _prefilter(source: KernelSource) -> tuple[list[str], dict[str, int]]:
+    profile = StageProfile()
+    with recording(profile):
+        selected = source.files_with_barriers()
+    return selected, profile.counters
+
 
 class TestBarrierPrefilterMemo:
     def test_memo_reused_for_unchanged_text(self):
         source = KernelSource(files={"w.c": WRITER, "plain.c": "int x;\n"})
-        assert source.files_with_barriers() == ["w.c"]
-        memo_before = dict(source._barrier_memo)
-        assert source.files_with_barriers() == ["w.c"]
-        assert source._barrier_memo == memo_before
+        assert _prefilter(source) == (
+            ["w.c"], {"prefilter.hits": 0, "prefilter.misses": 2}
+        )
+        assert _prefilter(source) == (
+            ["w.c"], {"prefilter.hits": 2, "prefilter.misses": 0}
+        )
 
     def test_memo_invalidated_on_edit(self):
-        source = KernelSource(files={"f.c": "int x;\n"})
-        assert source.files_with_barriers() == []
+        source = KernelSource(files={"f.c": "int x;\n", "g.c": "int y;\n"})
+        assert _prefilter(source)[0] == []
         source.files["f.c"] = WRITER
-        assert source.files_with_barriers() == ["f.c"]
+        assert _prefilter(source) == (
+            ["f.c"], {"prefilter.hits": 1, "prefilter.misses": 1}
+        )
