@@ -14,12 +14,11 @@ conforming C parser; unknown constructs fail loudly with
 :class:`~repro.cparse.parser.ParseError` carrying a source location.
 """
 
-from repro.cparse.lexer import Lexer, LexError, Token, TokenKind, tokenize
+from repro.cparse.lexer import LexError, Token, TokenKind, tokenize
 from repro.cparse.parser import ParseError, Parser, parse_source
 from repro.cparse.preprocessor import Preprocessor, PreprocessorError
 
 __all__ = [
-    "Lexer",
     "LexError",
     "Token",
     "TokenKind",

@@ -87,6 +87,9 @@ class Parser:
 
     def __init__(self, tokens: list[Token], typedefs: frozenset[str] | set[str] = KERNEL_TYPEDEFS):
         self._tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
+        # A second EOF lets `_peek(1)` index directly at the end; every
+        # longer lookahead scan stops at the first EOF.
+        self._tokens.append(self._tokens[-1])
         self._pos = 0
         self._typedefs: set[str] = set(typedefs)
         self._known_structs: set[str] = set()
@@ -94,8 +97,7 @@ class Parser:
     # -- token helpers -------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
+        return self._tokens[self._pos + offset]
 
     def _next(self) -> Token:
         tok = self._peek()
@@ -910,7 +912,6 @@ def parse_source(
 
     if defines is None and include_resolver is None:
         tokens = tokenize(text, filename)
-        tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
     else:
         pp = Preprocessor(defines or {}, include_resolver)
         tokens = pp.preprocess(text, filename)
