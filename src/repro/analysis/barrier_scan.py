@@ -118,10 +118,12 @@ class BarrierSite:
     #: Name + distance of a barrier-semantics call directly after (§5.1).
     redundant_with: tuple[str, int] | None = None
     is_seqcount_helper: bool = False
+    #: ``file:function:stmt_id``, built once: pairing reads it per site
+    #: many times a run.
+    barrier_id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def barrier_id(self) -> str:
-        return f"{self.filename}:{self.function}:{self.stmt_id}"
+    def __post_init__(self) -> None:
+        self.barrier_id = f"{self.filename}:{self.function}:{self.stmt_id}"
 
     @property
     def is_write_barrier(self) -> bool:

@@ -64,6 +64,9 @@ class CheckContext:
     #: ``id(pairing)`` of pairings with ordering findings (annotate-last
     #: input; populated by the suite after the ordering bucket ran).
     buggy_pairings: set = field(default_factory=set)
+    #: The suite's :class:`~repro.checkers.runner.CheckMemo`, or None;
+    #: the corpus-global checkers keep per-object outcomes in it.
+    memo: Any = None
 
 
 class WireCodec:
@@ -322,14 +325,16 @@ def _run_seqcount(ctx: CheckContext):
 def _run_unneeded(ctx: CheckContext):
     from repro.checkers.unneeded import UnneededBarrierChecker
 
-    return UnneededBarrierChecker().check(ctx.unpaired), set()
+    memo = ctx.memo.unneeded if ctx.memo is not None else None
+    return UnneededBarrierChecker().check(ctx.unpaired, memo), set()
 
 
 def _run_annotate(ctx: CheckContext):
     from repro.checkers.annotate import AnnotationChecker
 
+    memo = ctx.memo.annotations if ctx.memo is not None else None
     return AnnotationChecker().check(
-        ctx.pairings, ctx.buggy_pairings
+        ctx.pairings, ctx.buggy_pairings, memo
     ), set()
 
 

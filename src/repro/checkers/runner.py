@@ -9,15 +9,18 @@ alone, and annotation proposals (§7) run last, only on pairings with no
 ordering findings.
 
 Ordering checkers are per-entry: their output on one check-list entry (a
-pairing or a broadcast slice) depends on that entry alone.  A
-:class:`CheckMemo` kept across runs therefore lets an incremental run
-re-check only the entries an edit touched and reuse the rest.
+pairing or a broadcast slice) depends on that entry alone.  The unneeded
+checker looks at one barrier at a time, and the annotation checker at
+one correct pairing at a time before its cross-pairing dedupe.  The
+pairing stage returns the same :class:`Pairing` object for an unchanged
+pairing, so a :class:`CheckMemo` kept across runs holds each of these
+outcomes by object and lets an incremental run re-check only what an
+edit touched.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.checkers import registry
 from repro.checkers.annotate import AnnotationChecker
@@ -116,10 +119,11 @@ class CheckerSuite:
         #: reproduces the serial ``_guarded`` outcome for a checker that
         #: raised.
         self._shard_runner = shard_runner
-        #: Per-entry ordering outcomes of the previous run; without one
-        #: passed in, every run checks every entry.
+        #: Checker outcomes of the previous run; without one passed in,
+        #: every run checks everything.
         self._memo = memo if memo is not None else CheckMemo()
-        #: Check-list entries reused from the memo / checked this run.
+        #: This run's memo counts: check-list entries, unneeded sites
+        #: and annotated pairings reused or checked.
         self.stats: dict[str, int] = {"reused": 0, "rechecked": 0}
 
     def enabled(self, name: str) -> bool:
@@ -128,21 +132,18 @@ class CheckerSuite:
     def run(self, result: PairingResult) -> CheckReport:
         report = CheckReport()
 
-        # Multi pairings where every function holds exactly one barrier
-        # are overlapping simple pairs ("broadcast" shape: one protocol,
-        # several writers/readers); slice them into writer×reader duos
-        # so the single-pair checkers apply.  Figure 5-style pairings
-        # (two barriers in one function) stay whole for the seqcount
-        # checker.
+        # Broadcast-shaped multi pairings are also checked as their
+        # writer×reader slices, so the single-pair checkers apply.
         check_list = list(result.pairings)
         for pairing in result.pairings:
-            check_list.extend(_broadcast_slices(pairing))
+            check_list.extend(pairing.slices)
 
         ctx = registry.CheckContext(
             pairings=list(result.pairings),
             check_list=check_list,
             unpaired=result.unpaired + result.implicit_ipc,
             cfg_lookup=self._cfg_lookup,
+            memo=self._memo,
         )
         for findings, claimed in self._ordering(check_list, report):
             report.ordering_findings.extend(findings)
@@ -179,6 +180,7 @@ class CheckerSuite:
         report.ordering_findings.sort(
             key=lambda f: (f.filename, f.function, f.line)
         )
+        self.stats.update(self._memo.rotate())
         return report
 
     def _ordering_specs(self) -> list:
@@ -290,118 +292,93 @@ class CheckerSuite:
 _NOTHING: tuple = ((), frozenset())
 
 
-@dataclass
-class _Memoized:
-    """One entry's ordering outcomes and the shape they were checked on."""
+class ByObject:
+    """Values computed from one object, valid while it is that object.
 
-    #: The entry's barrier sites, and its parent's for a broadcast
-    #: slice: compared by identity, since a re-scan replaces every site
-    #: of the file it re-scans.
-    barriers: tuple
-    parent: tuple | None
-    common_objects: tuple
-    weight: float
-    #: checker -> (findings, object keys it claimed on this entry),
-    #: for the checkers with any output on it.
-    outcome: dict
+    :meth:`get` returns the last run's value for the same object or
+    computes it.  :meth:`rotate` ends a run: it keeps exactly the
+    objects asked for in that run and returns the run's (hits, misses).
+    """
 
-    def valid_for(self, entry) -> bool:
-        return (
-            _same_sites(self.barriers, entry.barriers)
-            and _same_sites(self.parent, _parent_sites(entry))
-            and self.common_objects == tuple(entry.common_objects)
-            and self.weight == entry.weight
-        )
+    def __init__(self):
+        self._last: dict[int, tuple] = {}
+        self._now: dict[int, tuple] = {}
+        self._hits = 0
 
-    def bound_to(self, entry) -> dict:
-        """The outcome with every finding re-bound to ``entry``."""
-        return {
-            name: (
-                [
-                    finding if finding.pairing is entry
-                    else replace(finding, pairing=entry)
-                    for finding in findings
-                ],
-                keys,
-            )
-            for name, (findings, keys) in self.outcome.items()
-        }
+    def get(self, obj, compute):
+        held = self._last.get(id(obj))
+        if held is not None and held[0] is obj:
+            self._hits += 1
+        else:
+            held = (obj, compute(obj))
+        self._now[id(obj)] = held
+        return held[1]
+
+    def rotate(self) -> tuple[int, int]:
+        counts = (self._hits, len(self._now) - self._hits)
+        self._last, self._now, self._hits = self._now, {}, 0
+        return counts
+
+    def clear(self) -> None:
+        self._last, self._now, self._hits = {}, {}, 0
 
 
 class CheckMemo:
-    """Per-entry ordering-checker outcomes, kept across runs.
+    """Checker outcomes kept across runs, by object.
 
-    An entry's outcome stays valid while its barriers are the same
-    :class:`BarrierSite` objects, with the same common objects, weight
-    and slice/parent shape.  Each :meth:`store` keeps exactly the current
-    check list, so entries that left the pairing set are evicted.
+    * Ordering: per check-list entry, every ordering checker's findings
+      and claims.  Valid while the entry is the same :class:`Pairing`
+      object: the pairing stage reuses a pairing only when its barrier
+      sites, common objects and weight are unchanged, and a pairing's
+      slices are built once per pairing.  Each :meth:`store` keeps
+      exactly the current check list.
+    * ``unneeded``: per unpaired barrier site, its finding or None.
+    * ``annotations``: per pairing that had no ordering finding this
+      run, its annotation findings with their dedupe keys.  A buggy
+      pairing is skipped before the lookup, so it is never reused.
     """
 
     def __init__(self):
         self._checks: frozenset[str] | None = None
-        self._entries: dict[tuple, _Memoized] = {}
+        self._entries: dict[int, tuple] = {}
+        self.unneeded = ByObject()
+        self.annotations = ByObject()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+        self.unneeded.clear()
+        self.annotations.clear()
 
     def lookup(self, check_list: list, checks: frozenset[str]) -> list:
-        """Per entry: its re-bound outcome, or None when it must be
+        """Per entry: its ordering outcome, or None when it must be
         re-checked."""
         if checks != self._checks:
-            self._entries.clear()
+            self.clear()
             self._checks = checks
         out: list = []
-        for key, entry in zip(_entry_keys(check_list), check_list):
-            memoized = self._entries.get(key)
-            if memoized is None or not memoized.valid_for(entry):
-                out.append(None)
-            else:
-                out.append(memoized.bound_to(entry))
+        for entry in check_list:
+            held = self._entries.get(id(entry))
+            out.append(held[1] if held is not None and held[0] is entry
+                       else None)
         return out
 
     def store(self, check_list: list, outcomes: list) -> None:
         self._entries = {
-            key: _Memoized(
-                barriers=tuple(entry.barriers),
-                parent=_parent_sites(entry),
-                common_objects=tuple(entry.common_objects),
-                weight=entry.weight,
-                outcome=outcome,
-            )
-            for key, entry, outcome in zip(
-                _entry_keys(check_list), check_list, outcomes
-            )
+            id(entry): (entry, outcome)
+            for entry, outcome in zip(check_list, outcomes)
         }
 
-
-def _parent_sites(entry) -> tuple | None:
-    return None if entry.parent is None else tuple(entry.parent.barriers)
-
-
-def _same_sites(left: tuple | None, right: tuple | None) -> bool:
-    if left is None or right is None:
-        return left is right
-    return len(left) == len(right) and all(
-        a is b for a, b in zip(left, right)
-    )
-
-
-def _entry_keys(check_list: list):
-    """A run-independent key per entry: barrier ids, the parent's for a
-    slice, and an occurrence count for repeated shapes."""
-    seen: Counter = Counter()
-    for entry in check_list:
-        parent = _parent_sites(entry)
-        shape = (
-            tuple(site.barrier_id for site in entry.barriers),
-            None if parent is None
-            else tuple(site.barrier_id for site in parent),
-        )
-        yield shape, seen[shape]
-        seen[shape] += 1
+    def rotate(self) -> dict[str, int]:
+        """End a run; the hit/miss counts of the per-object memos."""
+        stats: dict[str, int] = {}
+        for name, part in (("unneeded", self.unneeded),
+                           ("annotations", self.annotations)):
+            stats[f"{name}_reused"], stats[f"{name}_rechecked"] = \
+                part.rotate()
+        return stats
 
 
 def _split_by_entry(outcomes: dict, entries: list) -> list | None:
@@ -424,44 +401,6 @@ def _split_by_entry(outcomes: dict, entries: list) -> list | None:
                 return None
             split[idx].setdefault(name, ([], set()))[1].add(key)
     return split
-
-
-def _broadcast_slices(pairing) -> list:
-    """Writer×reader sub-pairings of a broadcast-shaped multi pairing."""
-    from collections import Counter
-
-    from repro.pairing.model import Pairing
-
-    if not pairing.is_multi:
-        return []
-    per_function = Counter(
-        (b.filename, b.function) for b in pairing.barriers
-    )
-    if any(count > 1 for count in per_function.values()):
-        return []  # Figure 5 shape: the seqcount checker owns it
-    writers = [b for b in pairing.barriers if b.is_write_barrier]
-    readers = [b for b in pairing.barriers if b.is_read_barrier]
-    slices = []
-    for writer in writers:
-        for reader in readers:
-            if writer.barrier_id == reader.barrier_id:
-                continue
-            common = sorted(
-                writer.keys() & reader.keys()
-                & set(pairing.common_objects),
-                key=lambda k: (k.struct, k.field),
-            )
-            if len(common) < 2:
-                continue
-            slices.append(
-                Pairing(
-                    barriers=[writer, reader],
-                    common_objects=common,
-                    weight=pairing.weight,
-                    parent=pairing,
-                )
-            )
-    return slices
 
 
 def _dedupe_findings(findings: list[Finding]) -> list[Finding]:

@@ -20,10 +20,15 @@ from repro.kernel.semantics import has_barrier_semantics
 class UnneededBarrierChecker:
     """Checks unpaired barriers for redundancy with their successor."""
 
-    def check(self, unpaired: list[BarrierSite]) -> list[Finding]:
+    def check(self, unpaired: list[BarrierSite], memo=None) -> list[Finding]:
+        """``memo`` (a :class:`repro.checkers.runner.ByObject`) keeps
+        each site's outcome for the next run."""
         findings: list[Finding] = []
         for site in unpaired:
-            finding = self._check_site(site)
+            finding = (
+                self._check_site(site) if memo is None
+                else memo.get(site, self._check_site)
+            )
             if finding is not None:
                 findings.append(finding)
         return findings

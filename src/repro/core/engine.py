@@ -23,9 +23,11 @@ The pipeline is incremental end to end:
   runs and feeds it file-level deltas, so ``reanalyze_file`` — the
   paper's "updating the analysis after modifying a single file takes
   less than 30 seconds" mode — pays O(changed sites), not O(all sites);
-* the check stage keeps the ordering checkers' outcomes per pairing
-  (:class:`repro.checkers.runner.CheckMemo`) and re-checks only the
-  pairings whose barrier sites a delta replaced.
+* pairing returns the previous run's :class:`Pairing` object for every
+  pairing a delta left unchanged, so the check stage
+  (:class:`repro.checkers.runner.CheckMemo`), fingerprinting and
+  patching each redo only the pairings, barriers and findings an edit
+  replaced.
 """
 
 from __future__ import annotations
@@ -239,6 +241,9 @@ class FileAnalysis:
     #: :class:`repro.patching.generate.PatchGenerator`), left by every
     #: run holding exactly the findings it patched.
     patches: dict = field(default_factory=dict, repr=False)
+    #: The findings fingerprinted against this file's text (see
+    #: :func:`repro.store.fingerprint.attach_fingerprints`).
+    fingerprints: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -299,8 +304,8 @@ class OFenceEngine:
         #: must take turns.  Re-entrant so a locked caller can compose
         #: engine methods.
         self._lock = threading.RLock()
-        #: Per-entry ordering-checker outcomes of the last run; an
-        #: incremental run re-checks only the pairings an edit touched.
+        #: Checker outcomes of the last run; an incremental run
+        #: re-checks only the pairings and barriers an edit touched.
         self._check_memo = CheckMemo()
         #: Worker-side pairing-index namespace (see ``_EXEC_NS_IDS``).
         self._exec_ns = f"eng{next(_EXEC_NS_IDS)}"
@@ -418,7 +423,15 @@ class OFenceEngine:
         with span("engine.fingerprint"):
             from repro.store.fingerprint import attach_fingerprints
 
-            attach_fingerprints(report.all_findings, self.source.files)
+            reused, computed = attach_fingerprints(
+                report.all_findings, self.source.files,
+                memo={
+                    path: entry.fingerprints
+                    for path, entry in self._file_cache.items()
+                },
+            )
+            count("fingerprint.reused", reused)
+            count("fingerprint.computed", computed)
 
         with span("engine.patch"):
             generator = PatchGenerator(

@@ -24,7 +24,10 @@ index alive across runs and only touches the entries of files whose scan
 results changed, so an incremental re-analysis pays O(changed sites)
 instead of O(all sites) to prepare pairing.  The index also memoizes the
 best candidate per write barrier, invalidated by shared-object key when a
-delta touches any object in that barrier's window.
+delta touches any object in that barrier's window, and the last run's
+:class:`Pairing` per writer: a pairing whose candidate and members are
+unchanged is the same object in the next result, and step 4 re-runs only
+for pairings whose common objects meet a key a delta touched.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ class PairingIndex:
     #: barrier_id -> memoized best candidate (None = "no match").
     _candidates: dict[str, _Candidate | None] = field(default_factory=dict, repr=False)
     _candidate_token: tuple | None = None
+    #: writer barrier_id -> the pairing the last run built from it.
+    _pairings: dict[str, Pairing] = field(default_factory=dict, repr=False)
+    #: Object keys whose barrier lists a delta changed since ``_pairings``
+    #: was stored.
+    _touched: set[ObjectKey] = field(default_factory=set, repr=False)
     #: Count of delta operations applied (observability/tests).
     updates: int = 0
 
@@ -145,6 +153,7 @@ class PairingIndex:
     def _invalidate(self, keys: set[ObjectKey]) -> None:
         """Drop memoized candidates of barriers whose windows contain a
         changed object key — exactly the set whose best match can move."""
+        self._touched |= keys
         for key in keys:
             for site in self._obj_map.get(key, ()):
                 self._candidates.pop(site.barrier_id, None)
@@ -153,8 +162,19 @@ class PairingIndex:
         """The memo dict, valid for one pairing configuration only."""
         if token != self._candidate_token:
             self._candidates = {}
+            self._pairings = {}
             self._candidate_token = token
         return self._candidates
+
+    def swap_pairings(
+        self, pairings: dict[str, Pairing]
+    ) -> tuple[dict[str, Pairing], set[ObjectKey]]:
+        """Store this run's pairings by writer id; return the previous
+        run's and the keys touched since.  Valid for the token last
+        passed to :meth:`candidate_cache`."""
+        previous, touched = self._pairings, self._touched
+        self._pairings, self._touched = pairings, set()
+        return previous, touched
 
 
 class PairingEngine:
@@ -294,9 +314,7 @@ class PairingEngine:
                 continue
             candidates.append(best)
 
-        pairings = self._resolve(candidates)
-        self._extend_multi(pairings)
-        result.pairings = pairings
+        result.pairings = _drop_subsumed(self._build(self._resolve(candidates)))
 
         paired = result.paired_barriers
         for site in self._index.sites():
@@ -408,10 +426,10 @@ class PairingEngine:
 
     # -- conflict resolution and extension ------------------------------------------
 
-    def _resolve(self, candidates: list[_Candidate]) -> list[Pairing]:
-        """Keep, per barrier, only the lowest-weight pairing."""
+    def _resolve(self, candidates: list[_Candidate]) -> list[_Candidate]:
+        """Keep, per barrier, only the lowest-weight candidate."""
         taken: set[str] = set()
-        pairings: list[Pairing] = []
+        kept: list[_Candidate] = []
         ordered = sorted(
             candidates,
             key=lambda c: (c.weight, self._index.order_key(c.writer)),
@@ -421,18 +439,50 @@ class PairingEngine:
                 continue
             taken.add(cand.writer.barrier_id)
             taken.add(cand.match.barrier_id)
-            common = sorted(
-                self._common_keys(cand.writer, cand.match),
-                key=lambda k: (k.struct, k.field),
-            )
-            pairings.append(
-                Pairing(
-                    barriers=[cand.writer, cand.match],
-                    common_objects=common,
-                    weight=cand.weight,
+            kept.append(cand)
+        return kept
+
+    def _build(self, resolved: list[_Candidate]) -> list[Pairing]:
+        """One pairing per resolved candidate, extended (step 4).
+
+        The previous run's pairing for the same writer is returned again
+        when its match and weight are unchanged and its extended member
+        list comes out the same.  The extension is recomputed only when
+        a delta touched one of its common objects: every joiner is found
+        under those keys.  No pairing a result returned is mutated.
+        """
+        built: dict[str, Pairing] = {}
+        previous, touched = self._index.swap_pairings(built)
+        reused = 0
+        for cand in resolved:
+            old = previous.get(cand.writer.barrier_id)
+            if old is not None and not (
+                old.barriers[0] is cand.writer
+                and old.barriers[1] is cand.match
+                and old.weight == cand.weight
+            ):
+                old = None
+            if old is not None and touched.isdisjoint(old.common_objects):
+                pairing = old
+            else:
+                common = old.common_objects if old is not None else sorted(
+                    self._common_keys(cand.writer, cand.match),
+                    key=lambda k: (k.struct, k.field),
                 )
-            )
-        return pairings
+                members = self._extend(cand.writer, cand.match, common)
+                if old is not None and len(members) == len(old.barriers) \
+                        and all(a is b for a, b in zip(members, old.barriers)):
+                    pairing = old
+                else:
+                    pairing = Pairing(
+                        barriers=members, common_objects=common,
+                        weight=cand.weight,
+                    )
+            reused += pairing is old
+            built[cand.writer.barrier_id] = pairing
+        self.stats["pairings_reused"] = reused
+        self.stats["pairings_built"] = len(built) - reused
+        return list(built.values())
 
     def _common_keys(
         self, first: BarrierSite, second: BarrierSite
@@ -443,48 +493,59 @@ class PairingEngine:
         }
         return keys & second.keys()
 
-    def _extend_multi(self, pairings: list[Pairing]) -> None:
-        """Grow pairings with other barriers containing all common objects
-        (lines 44-53 of Algorithm 1).
+    def _extend(
+        self, writer: BarrierSite, match: BarrierSite,
+        common: list[ObjectKey],
+    ) -> list[BarrierSite]:
+        """``[writer, match]`` grown with the other barriers whose
+        windows contain all common objects (lines 44-53 of Algorithm 1).
 
         A barrier already paired elsewhere may still join when its window
         contains the full common-object set — this is how the four
         seqcount barriers of Figure 5 coalesce.  Candidates come from the
         object map (any barrier containing all common objects must appear
         under each of them), so only the smallest per-key barrier list is
-        scanned instead of every site.  Pairings whose barrier set ends
-        up contained in another pairing are dropped afterwards.
+        scanned instead of every site.
         """
-        for pairing in pairings:
-            needed = set(pairing.common_objects)
-            if not needed:
+        members = [writer, match]
+        needed = set(common)
+        if not needed:
+            return members
+        member_ids = {writer.barrier_id, match.barrier_id}
+        smallest = min(
+            (self._index.barriers_for(key) for key in needed), key=len,
+        )
+        joiners = sorted(
+            (
+                site for site in smallest
+                if site.barrier_id not in member_ids
+                and needed <= site.keys()
+            ),
+            key=self._index.order_key,
+        )
+        for site in joiners:
+            if site.barrier_id in member_ids:
                 continue
-            member_ids = {b.barrier_id for b in pairing.barriers}
-            smallest = min(
-                (self._index.barriers_for(key) for key in needed),
-                key=len,
-            )
-            joiners = sorted(
-                (
-                    site for site in smallest
-                    if site.barrier_id not in member_ids
-                    and needed <= site.keys()
-                ),
-                key=self._index.order_key,
-            )
-            for site in joiners:
-                if site.barrier_id in member_ids:
-                    continue
-                pairing.barriers.append(site)
-                member_ids.add(site.barrier_id)
-        # Deduplicate: drop pairings subsumed by an earlier (lower-weight)
-        # pairing's barrier set.
-        kept: list[Pairing] = []
-        kept_sets: list[set[str]] = []
-        for pairing in sorted(pairings, key=lambda p: p.weight):
-            ids = {b.barrier_id for b in pairing.barriers}
-            if any(ids <= existing for existing in kept_sets):
-                continue
-            kept.append(pairing)
-            kept_sets.append(ids)
-        pairings[:] = kept
+            members.append(site)
+            member_ids.add(site.barrier_id)
+        return members
+
+
+def _drop_subsumed(pairings: list[Pairing]) -> list[Pairing]:
+    """``pairings`` by weight, without those whose barrier set is
+    contained in an earlier (lower-weight) kept pairing's.
+
+    A containing set holds the writer's id too, so only the kept sets
+    listed under that id are tested.
+    """
+    kept: list[Pairing] = []
+    sets_with: dict[str, list[set[str]]] = {}
+    for pairing in sorted(pairings, key=lambda p: p.weight):
+        ids = {b.barrier_id for b in pairing.barriers}
+        if any(ids <= other for other in
+               sets_with.get(pairing.barriers[0].barrier_id, ())):
+            continue
+        kept.append(pairing)
+        for barrier_id in ids:
+            sets_with.setdefault(barrier_id, []).append(ids)
+    return kept

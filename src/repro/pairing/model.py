@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.analysis.accesses import ObjectKey
 from repro.analysis.barrier_scan import BarrierSite
@@ -46,6 +48,43 @@ class Pairing:
             if item not in seen:
                 seen.append(item)
         return seen
+
+    @cached_property
+    def slices(self) -> "list[Pairing]":
+        """Writer×reader sub-pairings of a broadcast-shaped multi pairing.
+
+        Multi pairings where every function holds exactly one barrier
+        are overlapping simple pairs (one protocol, several writers or
+        readers); the single-pair checkers run on these slices.  Figure
+        5-style pairings (two barriers in one function) are not sliced:
+        the seqcount checker owns them.  Built once per pairing, so a
+        pairing reused by a later run brings the same slice objects.
+        """
+        if not self.is_multi:
+            return []
+        per_function = Counter(
+            (b.filename, b.function) for b in self.barriers
+        )
+        if any(count > 1 for count in per_function.values()):
+            return []
+        writers = [b for b in self.barriers if b.is_write_barrier]
+        readers = [b for b in self.barriers if b.is_read_barrier]
+        out = []
+        for writer in writers:
+            for reader in readers:
+                if writer.barrier_id == reader.barrier_id:
+                    continue
+                common = sorted(
+                    writer.keys() & reader.keys() & set(self.common_objects),
+                    key=lambda k: (k.struct, k.field),
+                )
+                if len(common) < 2:
+                    continue
+                out.append(Pairing(
+                    barriers=[writer, reader], common_objects=common,
+                    weight=self.weight, parent=self,
+                ))
+        return out
 
     def describe(self) -> str:
         members = ", ".join(

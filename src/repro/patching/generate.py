@@ -46,51 +46,21 @@ class Patch:
         return f"{self.header}\n{self.diff}" if self.diff else self.header
 
 
-def _memo_key(finding: Finding) -> tuple:
-    """Everything patch generation reads off a finding.
-
-    Together with the file's content-addressed scan key (which covers
-    the source text, headers, defines, and scan windows — and thereby
-    the CFG that ``MOVE_READ`` consults), identical keys are guaranteed
-    to regenerate the identical patch.
-    """
-    barrier = finding.barrier
-    use = finding.use
-    pairing = finding.pairing
-    return (
-        finding.kind.value,
-        finding.function,
-        finding.line,
-        finding.fix_action.value,
-        finding.explanation,
-        tuple(sorted(finding.details.items())),
-        str(finding.object_key),
-        (barrier.function, barrier.line, barrier.primitive)
-        if barrier is not None else None,
-        (use.stmt_id, use.side, use.access.line, use.access.kind.value)
-        if use is not None else None,
-        (
-            tuple((b.filename, b.function, b.line, b.primitive)
-                  for b in pairing.barriers),
-            tuple(sorted(str(key) for key in pairing.common_objects)),
-        )
-        if pairing is not None else None,
-    )
-
-
 class PatchGenerator:
     """Generates patches against pristine per-file sources.
 
     With ``memo`` (provided by a long-lived engine), generation results
-    are reused per file: ``memo`` maps a filename to its bucket, and a
-    bucket maps :func:`_memo_key` to ``[outcome, run]``.  The caller
-    keeps each bucket valid for the file's current scan key (the engine
-    holds it on the file's ``FileAnalysis`` entry, which a re-scan
-    replaces); files absent from ``memo`` are not memoized.
-    :meth:`generate_all` updates the buckets in place and leaves each
-    holding exactly the keys its findings used, so an incremental
-    re-analysis only pays diff construction for findings the edit
-    actually changed.
+    are reused per file: ``memo`` maps a filename to its bucket, which
+    holds the file's findings of the last run (``"findings"``) and
+    their outcomes (``"outcomes"``).  The caller keeps each bucket
+    valid for the file's current scan key (the engine holds it on the
+    file's ``FileAnalysis`` entry, which a re-scan replaces); files
+    absent from ``memo`` are not memoized.  A finding object is never
+    changed after its run, and its patch reads only the finding, the
+    pairing and sites it holds and the file, so a file whose findings
+    are the same objects in the same order reuses all its outcomes
+    (counted per finding).  Only files whose findings an edit changed
+    pay for diffs.
     """
 
     def __init__(self, file_sources: dict[str, str], cfg_lookup=None,
@@ -109,38 +79,40 @@ class PatchGenerator:
         self.memo_misses = 0
 
     def generate_all(self, findings: list[Finding]) -> list[Patch]:
-        # Entries are marked with this run's token; a hit only re-marks
-        # its entry, so it allocates nothing that outlives the lookup.
-        run = object()
+        by_file: dict[str, list[Finding]] = {}
+        for finding in findings:
+            by_file.setdefault(finding.filename, []).append(finding)
+        outcomes = {
+            filename: iter(self._file_outcomes(filename, group))
+            for filename, group in by_file.items()
+        }
+        for filename, bucket in self._memo.items():
+            if bucket and filename not in by_file:
+                bucket.clear()
         patches = []
         for finding in findings:
-            bucket = self._memo.get(finding.filename)
-            if bucket is None:
-                outcome = self._outcome(finding)
-            else:
-                key = _memo_key(finding)
-                entry = bucket.get(key)
-                if entry is None:
-                    self.memo_misses += 1
-                    entry = bucket[key] = [self._outcome(finding), run]
-                else:
-                    self.memo_hits += 1
-                    entry[1] = run
-                outcome = entry[0]
-            kind, payload = outcome
+            kind, payload = next(outcomes[finding.filename])
             if kind == "patch":
-                header, diff, new_source, applied = payload
-                patches.append(Patch(
-                    finding, finding.filename, header, diff, new_source,
-                    applied=applied,
-                ))
+                patches.append(payload)
             elif kind == "error":
                 self.failures.append((finding.finding_id, payload))
-        for bucket in self._memo.values():
-            stale = [k for k, entry in bucket.items() if entry[1] is not run]
-            for key in stale:
-                del bucket[key]
         return patches
+
+    def _file_outcomes(self, filename: str, group: list[Finding]) -> list:
+        """The outcome of each of one file's findings, in order."""
+        bucket = self._memo.get(filename)
+        if bucket is None:
+            return [self._outcome(finding) for finding in group]
+        last = bucket.get("findings", ())
+        if len(last) == len(group) and all(
+            a is b for a, b in zip(last, group)
+        ):
+            self.memo_hits += len(group)
+            return bucket["outcomes"]
+        self.memo_misses += len(group)
+        outcomes = [self._outcome(finding) for finding in group]
+        bucket["findings"], bucket["outcomes"] = group, outcomes
+        return outcomes
 
     def _outcome(self, finding: Finding) -> tuple[str, object]:
         """Generate ``finding``'s patch as a memoizable outcome."""
@@ -150,8 +122,7 @@ class PatchGenerator:
             return ("error", f"{type(exc).__name__}: {exc}")
         if patch is None:
             return ("none", None)
-        return ("patch", (patch.header, patch.diff, patch.new_source,
-                          patch.applied))
+        return ("patch", patch)
 
     def generate(self, finding: Finding) -> Patch | None:
         source = self._sources.get(finding.filename)

@@ -220,21 +220,42 @@ def _fingerprint(finding: "Finding", lines: list[str] | None) -> str:
 
 
 def attach_fingerprints(
-    findings: Iterable["Finding"], files: dict[str, str]
-) -> None:
+    findings: Iterable["Finding"], files: dict[str, str],
+    memo: dict[str, dict] | None = None,
+) -> tuple[int, int]:
     """Compute and set ``finding.fingerprint`` for every finding.
 
-    Each file is comment-stripped and split once, however many findings
-    it holds.
+    ``memo`` maps a filename to its bucket: the findings fingerprinted
+    against that file's text, by ``id``.  The caller keeps a bucket only
+    while the file's text is unchanged (the engine holds it on the
+    file's scan entry, which a re-scan replaces).  A finding in its
+    file's bucket keeps its fingerprint; each bucket is left holding
+    exactly its file's findings.  A file is comment-stripped and split
+    once, and only when it has a finding to fingerprint.  Returns
+    ``(reused, computed)``.
     """
+    memo = memo if memo is not None else {}
     by_file: dict[str, list["Finding"]] = {}
     for finding in findings:
         by_file.setdefault(finding.filename, []).append(finding)
+    reused = computed = 0
     for filename, group in by_file.items():
-        text = files.get(filename)
-        lines = code_lines(text) if text is not None else None
-        for finding in group:
-            finding.fingerprint = _fingerprint(finding, lines)
+        bucket = memo.get(filename, {})
+        fresh = [f for f in group if bucket.get(id(f)) is not f]
+        if fresh:
+            text = files.get(filename)
+            lines = code_lines(text) if text is not None else None
+            for finding in fresh:
+                finding.fingerprint = _fingerprint(finding, lines)
+        if fresh or len(bucket) != len(group):
+            bucket.clear()
+            bucket.update((id(f), f) for f in group)
+        reused += len(group) - len(fresh)
+        computed += len(fresh)
+    for filename, bucket in memo.items():
+        if bucket and filename not in by_file:
+            bucket.clear()
+    return reused, computed
 
 
 def finding_record(finding: "Finding") -> dict:

@@ -15,7 +15,6 @@ import re
 import pytest
 
 from repro.checkers import registry
-from repro.checkers.runner import _broadcast_slices
 from repro.core.engine import AnalysisOptions, KernelSource, OFenceEngine
 from repro.corpus.generator import CorpusSpec, generate_corpus
 from repro.fuzz.differential import run_signature
@@ -89,7 +88,7 @@ def _copy(source: KernelSource, files: dict[str, str]) -> KernelSource:
 
 def _check_list_len(result) -> int:
     return sum(
-        1 + len(_broadcast_slices(pairing))
+        1 + len(pairing.slices)
         for pairing in result.pairing.pairings
     )
 
@@ -124,18 +123,38 @@ def references(corpus, stream):
 
 def _replay(corpus, stream, references, options: AnalysisOptions):
     engine = OFenceEngine(_copy(corpus.source, corpus.source.files), options)
-    first = engine.analyze()
-    assert first.profile.counters["check.reused"] == 0
+    previous = engine.analyze()
+    assert previous.profile.counters["check.reused"] == 0
     totals: dict[str, int] = {}
+    touches = 0
     for step, (kind, path, text) in enumerate(stream):
         result = engine.reanalyze_file(path, text)
         expected = references[options.checks][step]
         assert run_signature(result) == expected, (step, kind, path)
         assert len(engine._check_memo) <= _check_list_len(result)
-        for name, value in result.profile.counters.items():
+        counters = result.profile.counters
+        for name, value in counters.items():
             totals[name] = totals.get(name, 0) + value
+        # Fingerprints are computed for the edited file's findings and
+        # for findings that are new objects, nothing else.  A touch
+        # re-scans the file, so every finding on a pairing over its
+        # sites is new: one in another file comes from a cross-file
+        # pairing.
+        old = {id(f) for f in previous.report.all_findings}
+        fresh = [f for f in result.report.all_findings
+                 if f.filename == path or id(f) not in old]
+        assert counters["fingerprint.computed"] == len(fresh), step
+        if kind == "touch" and all(f.filename == path for f in fresh):
+            touches += 1
+            assert counters["fingerprint.computed"] == sum(
+                f.filename == path for f in result.report.all_findings
+            )
+        previous = result
+    assert touches
     # A one-file edit leaves most pairings untouched.
     assert totals["check.rechecked"] < totals["check.reused"]
+    assert totals["check.annotations_rechecked"] \
+        < totals["check.annotations_reused"]
     return totals
 
 
@@ -157,6 +176,32 @@ def test_executor_edits_match_fresh_analysis(corpus, stream, references):
 def test_checks_subset_edits_match_fresh_analysis(corpus, stream,
                                                   references):
     _replay(corpus, stream, references, AnalysisOptions(checks=SUBSET))
+
+
+@pytest.mark.parametrize("mode", ["serial", "executor"])
+def test_later_runs_never_change_an_earlier_result(corpus, stream, mode):
+    """Pairings, findings and patches a later run reuses are shared
+    with earlier results, which the serve daemon keeps: no later run
+    may change what an earlier one returned."""
+    options = AnalysisOptions()
+    if mode == "executor":
+        from repro.exec.executor import get_default_executor
+
+        options = AnalysisOptions(
+            workers=2, executor=get_default_executor(2), exec_min_batch=1,
+        )
+    engine = OFenceEngine(_copy(corpus.source, corpus.source.files), options)
+    engine.analyze()
+    for _kind, path, text in stream[:5]:
+        held = engine.reanalyze_file(path, text)
+    signature = run_signature(held)
+    later = stream[5:25]
+    assert {kind for kind, _path, _text in later} == {
+        "touch", "move", "revert"
+    }
+    for _kind, path, text in later:
+        engine.reanalyze_file(path, text)
+    assert run_signature(held) == signature
 
 
 WRITER = """\

@@ -301,3 +301,41 @@ class TestResultAccounting:
         result = analyze(listing1).pair()
         text = result.pairings[0].describe()
         assert "my_struct" in text and "weight" in text
+
+
+def _subsumed_dedupe_reference(pairings):
+    """The quadratic dedupe ``_drop_subsumed`` replaced: each pairing,
+    by weight, against every kept barrier-id set."""
+    kept, kept_sets = [], []
+    for pairing in sorted(pairings, key=lambda p: p.weight):
+        ids = {b.barrier_id for b in pairing.barriers}
+        if any(ids <= existing for existing in kept_sets):
+            continue
+        kept.append(pairing)
+        kept_sets.append(ids)
+    return kept
+
+
+class TestSubsumptionDedupe:
+    def test_indexed_dedupe_matches_the_quadratic_scan(self):
+        import random
+
+        from repro.analysis.barrier_scan import BarrierSite
+        from repro.kernel.barriers import BarrierKind
+        from repro.pairing.algorithm import _drop_subsumed
+        from repro.pairing.model import Pairing
+
+        rng = random.Random(0)
+        for case in range(400):
+            sites = [
+                BarrierSite("f.c", f"fn{k}", k, k, "smp_mb", BarrierKind.FULL)
+                for k in range(rng.randint(2, 12))
+            ]
+            pairings = []
+            for _ in range(rng.randint(0, 25)):
+                members = rng.sample(sites, rng.randint(2, len(sites)))
+                # Few distinct weights, so ties keep their input order.
+                pairings.append(Pairing(members, [], rng.randint(1, 4)))
+            got = _drop_subsumed(pairings)
+            want = _subsumed_dedupe_reference(pairings)
+            assert [id(p) for p in got] == [id(p) for p in want], case

@@ -92,7 +92,11 @@ MEMO_COUNTERS = (
     ("scan.memory_hits", "scan.memory_misses"),
     ("scan.disk_hits", "scan.scanned"),
     ("pair.candidates_reused", "pair.candidates_computed"),
+    ("pair.pairings_reused", "pair.pairings_built"),
     ("check.reused", "check.rechecked"),
+    ("check.unneeded_reused", "check.unneeded_rechecked"),
+    ("check.annotations_reused", "check.annotations_rechecked"),
+    ("fingerprint.reused", "fingerprint.computed"),
     ("patch.memo_hits", "patch.memo_misses"),
 )
 
@@ -111,6 +115,20 @@ class TestMemoCounters:
         # The in-memory entry serves the rerun; the disk is not asked.
         assert warm["scan.memory_hits"] == fresh["scan.memory_misses"]
         assert warm["patch.memo_hits"] == fresh["patch.memo_misses"]
+        assert warm["fingerprint.reused"] == fresh["fingerprint.computed"]
+
+    def test_profile_lists_each_memo_pair_once(self, corpus, tmp_path,
+                                               capsys):
+        from repro.cli import main
+
+        corpus.source.write_to(tmp_path)
+        assert main(["analyze", str(tmp_path), "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for pair in MEMO_COUNTERS:
+            for name in pair:
+                assert sum(
+                    line.split()[:1] == [name] for line in lines
+                ) == 1, name
 
 
 def _assert_stages_are_span_sums(result, trace) -> None:
