@@ -37,7 +37,7 @@ class AccessKind(enum.Enum):
         return self in (AccessKind.WRITE, AccessKind.READ_WRITE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectKey:
     """The aliasing-robust identity of a shared object."""
 
@@ -52,7 +52,7 @@ class ObjectKey:
         return self.struct != UNKNOWN_STRUCT
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryAccess:
     """One classified structure-field access."""
 

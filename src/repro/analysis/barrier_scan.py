@@ -85,7 +85,7 @@ class ScanLimits:
         return self.read_window
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectUse:
     """One shared-object access within a barrier's window."""
 
@@ -102,7 +102,7 @@ class ObjectUse:
         return self.access.kind
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierSite:
     """A barrier call site plus everything the pairing stage needs."""
 

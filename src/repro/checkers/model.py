@@ -47,7 +47,7 @@ class FixAction(enum.Enum):
     ADD_ANNOTATION = "add-annotation"
 
 
-@dataclass
+@dataclass(slots=True)
 class Finding:
     """One detected deviation, carrying enough context to patch it."""
 

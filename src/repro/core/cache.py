@@ -38,7 +38,7 @@ from typing import Callable
 from repro.analysis.barrier_scan import BarrierSite, ScanLimits
 
 #: Bump when the pickled payload layout or scan semantics change.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 class _DirState:

@@ -218,7 +218,7 @@ class AnalysisOptions:
     exec_min_batch: int = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class FileAnalysis:
     """Per-file artifacts cached for incremental re-analysis.
 

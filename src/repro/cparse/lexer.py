@@ -65,12 +65,6 @@ class Token:
     line: int
     column: int
 
-    def is_punct(self, value: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.value == value
-
-    def is_keyword(self, value: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.value == value
-
     def is_ident(self, value: str | None = None) -> bool:
         if self.kind is not TokenKind.IDENT:
             return False
@@ -91,9 +85,25 @@ _DIRECTIVE_SPACE = rf"\\\n|{_BLOCK_COMMENT}|/\*[\s\S]*|//[^\n]*"
 _DIRECTIVE_SPACES = re.compile(_DIRECTIVE_SPACE)
 
 
+_TOKEN_KINDS = {
+    "ident": TokenKind.IDENT,
+    "number": TokenKind.NUMBER,
+    "string": TokenKind.STRING,
+    "char": TokenKind.CHAR,
+    "punct": TokenKind.PUNCT,
+}
+
+
 @functools.lru_cache(maxsize=16)
-def _master(odd: str) -> re.Pattern[str]:
-    r"""The master pattern: one named group per lexeme, tried in order.
+def _master(odd: str) -> tuple[re.Pattern[str], tuple]:
+    r"""The master pattern and its group table.
+
+    The pattern is a run of blanks, which a match absorbs in front of
+    its lexeme, then one named group per lexeme, tried in order.  The
+    absorbed run holds no newline, so it moves no line; the ``blank``
+    group still matches continuation runs and blanks at the end of
+    input.  The table maps a group's index (``match.lastindex``) to its
+    token kind, or to its name for a lexeme that makes no plain token.
 
     Identifiers start at ``str.isalpha`` or ``_`` and numbers at
     ``str.isdigit``.  ``re``'s ``\w``/``\d`` agree with those except on
@@ -125,17 +135,11 @@ def _master(odd: str) -> re.Pattern[str]:
                  r"|[\]\[(){}.&*+\-~!/%<>^|?:;=,]",
         "bad": r"[\s\S]",
     }
-    return re.compile("|".join(f"(?P<{name}>{rx})"
-                               for name, rx in grammar.items()))
-
-
-_TOKEN_KINDS = {
-    "ident": TokenKind.IDENT,
-    "number": TokenKind.NUMBER,
-    "string": TokenKind.STRING,
-    "char": TokenKind.CHAR,
-    "punct": TokenKind.PUNCT,
-}
+    pattern = re.compile(r"[ \t\r]*(?:" + "|".join(
+        f"(?P<{name}>{rx})" for name, rx in grammar.items()) + ")")
+    # No lexeme's own pattern captures, so group i is lexeme i.
+    return pattern, (None, *(_TOKEN_KINDS.get(name, name)
+                             for name in grammar))
 
 
 def _error(message: str, text: str, filename: str, pos: int) -> LexError:
@@ -156,38 +160,41 @@ def tokenize(text: str, filename: str = "<source>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     line, line_start, at_line_start = 1, 0, True
-    for match in _master(odd).finditer(text):
-        group = match.lastgroup
-        value = match.group()
-        start = match.start()
-        if group in _TOKEN_KINDS:
-            kind = _TOKEN_KINDS[group]
+    pattern, table = _master(odd)
+    for match in pattern.finditer(text):
+        index = match.lastindex
+        kind = table[index]
+        if kind.__class__ is TokenKind:
+            value = match.group(index)
+            start = match.start(index)
             if kind is TokenKind.IDENT and value in KEYWORDS:
                 kind = TokenKind.KEYWORD
             append(Token(kind, value, filename, line, start - line_start + 1))
             at_line_start = False
             continue
-        if group == "nl":
+        if kind == "nl":
             line += 1
-            line_start = start + 1
+            line_start = match.end()
             at_line_start = True
             continue
-        if group == "line_comment":
+        value = match.group(index)
+        start = match.start(index)
+        if kind == "line_comment":
             continue
-        if group == "directive" and at_line_start:
+        if kind == "directive" and at_line_start:
             append(Token(TokenKind.DIRECTIVE,
                          _DIRECTIVE_SPACES.sub(" ", value).strip(),
                          filename, line, start - line_start + 1))
             at_line_start = False
-        elif group == "open_comment":
+        elif kind == "open_comment":
             raise _error("unterminated block comment", text, filename,
                          len(text))
-        elif group == "open_quote":
+        elif kind == "open_quote":
             end = text.find("\n", start)
             literal = "string" if value == '"' else "character"
             raise _error(f"unterminated {literal} literal", text, filename,
                          len(text) if end < 0 else end)
-        elif group != "blank" and group != "block_comment":
+        elif kind != "blank" and kind != "block_comment":
             raise _error(f"unexpected character {value[0]!r}", text,
                          filename, start)
         # Blanks, block comments and directives may span lines.

@@ -39,6 +39,22 @@ _QUALIFIERS = frozenset(
 _STORAGE = frozenset({"static", "extern", "inline", "__inline",
                       "__inline__", "__always_inline", "typedef"})
 
+_STORAGE_OR_QUALIFIER = _STORAGE | _QUALIFIERS
+
+#: Keywords that start a local declaration.
+_DECL_START = _STORAGE_OR_QUALIFIER | _TYPE_KEYWORDS | {"struct", "union",
+                                                        "enum"}
+
+#: Keywords that may follow the `(` of a cast.
+_CAST_START = _TYPE_KEYWORDS | {"struct", "union", "const", "volatile"}
+
+_UNARY_OPS = frozenset({"!", "~", "-", "+", "*", "&", "++", "--"})
+
+_POSTFIX_OPS = frozenset({"(", "[", ".", "->", "++", "--"})
+
+#: Punctuators that may follow a cast's `)`.
+_CAST_FOLLOW = frozenset({"(", "*", "&", "!", "~", "-", "+", "++", "--"})
+
 #: Common kernel typedef names, pre-seeded so bare corpus snippets parse.
 KERNEL_TYPEDEFS = frozenset(
     {
@@ -86,45 +102,41 @@ class Parser:
     """Parses a preprocessed token stream into a TranslationUnit."""
 
     def __init__(self, tokens: list[Token], typedefs: frozenset[str] | set[str] = KERNEL_TYPEDEFS):
-        self._tokens = [t for t in tokens if t.kind is not TokenKind.DIRECTIVE]
-        # A second EOF lets `_peek(1)` index directly at the end; every
-        # longer lookahead scan stops at the first EOF.
-        self._tokens.append(self._tokens[-1])
+        # A second EOF lets a one-token lookahead index directly at the
+        # end; every longer lookahead scan stops at the first EOF.
+        self._tokens = [*tokens, tokens[-1]]
         self._pos = 0
         self._typedefs: set[str] = set(typedefs)
         self._known_structs: set[str] = set()
 
     # -- token helpers -------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[self._pos + offset]
+    #
+    # A token's value names its kind: no identifier, literal or EOF is
+    # spelled like a punctuator, and every keyword spelling is lexed
+    # KEYWORD.  So ``tok.value == "{"`` is the whole test for a
+    # punctuator or keyword, and a token that passes it is not the EOF.
 
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self._tokens[self._pos]
         if tok.kind is not TokenKind.EOF:
             self._pos += 1
         return tok
 
     def _at_eof(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self._tokens[self._pos].kind is TokenKind.EOF
 
-    def _accept_punct(self, value: str) -> bool:
-        if self._peek().is_punct(value):
-            self._next()
+    def _accept(self, value: str) -> bool:
+        if self._tokens[self._pos].value == value:
+            self._pos += 1
             return True
         return False
 
-    def _expect_punct(self, value: str) -> Token:
-        tok = self._peek()
-        if not tok.is_punct(value):
+    def _expect(self, value: str) -> Token:
+        tok = self._tokens[self._pos]
+        if tok.value != value:
             raise ParseError(f"expected {value!r}", tok)
-        return self._next()
-
-    def _accept_keyword(self, value: str) -> bool:
-        if self._peek().is_keyword(value):
-            self._next()
-            return True
-        return False
+        self._pos += 1
+        return tok
 
     def _loc(self, tok: Token) -> dict:
         return {"filename": tok.filename, "line": tok.line}
@@ -132,7 +144,7 @@ class Parser:
     # -- entry point ---------------------------------------------------------
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
-        tok = self._peek()
+        tok = self._tokens[self._pos]
         unit = ast.TranslationUnit(**self._loc(tok))
         while not self._at_eof():
             self._parse_external_declaration(unit)
@@ -141,37 +153,37 @@ class Parser:
     # -- external declarations ------------------------------------------------
 
     def _parse_external_declaration(self, unit: ast.TranslationUnit) -> None:
-        if self._accept_punct(";"):
+        if self._accept(";"):
             return
 
-        start = self._peek()
+        start = self._tokens[self._pos]
         storage = self._skip_storage_and_qualifiers()
 
         if "typedef" in storage:
             unit.typedefs.append(self._parse_typedef(start))
             return
 
-        if self._peek().is_keyword("enum"):
+        if self._tokens[self._pos].value == "enum":
             enum = self._parse_enum_def(start)
             if enum is not None:
                 unit.enums.append(enum)
             self._skip_declarators_until_semicolon()
             return
 
-        if self._peek().is_keyword("struct") or self._peek().is_keyword("union"):
+        if self._tokens[self._pos].value in ("struct", "union"):
             # Could be a struct definition, a global of struct type, or a
             # function returning a struct (pointer).
-            is_union = self._peek().value == "union"
+            is_union = self._tokens[self._pos].value == "union"
             save = self._pos
             self._next()
-            name_tok = self._peek()
+            name_tok = self._tokens[self._pos]
             tag = ""
             if name_tok.kind is TokenKind.IDENT:
                 tag = self._next().value
-            if self._peek().is_punct("{"):
+            if self._tokens[self._pos].value == "{":
                 unit.structs.append(self._parse_struct_body(tag, is_union, start))
                 self._known_structs.add(tag)
-                if self._accept_punct(";"):
+                if self._accept(";"):
                     return
                 # `struct foo { ... } instance;` — fall through to declarator.
                 decl = self._parse_global_tail(f"struct {tag}", True, start)
@@ -185,12 +197,12 @@ class Parser:
     def _skip_storage_and_qualifiers(self) -> set[str]:
         seen: set[str] = set()
         while True:
-            tok = self._peek()
-            if tok.kind is TokenKind.KEYWORD and tok.value in (_STORAGE | _QUALIFIERS):
-                seen.add(tok.value)
-                self._next()
-            elif tok.is_keyword("__attribute__"):
-                self._next()
+            value = self._tokens[self._pos].value
+            if value in _STORAGE_OR_QUALIFIER:
+                seen.add(value)
+                self._pos += 1
+            elif value == "__attribute__":
+                self._pos += 1
                 self._skip_parenthesized()
             else:
                 return seen
@@ -202,13 +214,13 @@ class Parser:
         after_type = self._pos
         pointers = self._count_pointers()
         self._skip_attributes()
-        name_tok = self._peek()
+        name_tok = self._tokens[self._pos]
         if name_tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
             raise ParseError("expected declarator name", name_tok)
         name = self._next().value
         self._skip_attributes()
 
-        if self._peek().is_punct("("):
+        if self._tokens[self._pos].value == "(":
             fn = self._parse_function_rest(
                 name, type_name, is_struct, pointers, storage, start
             )
@@ -233,7 +245,7 @@ class Parser:
             name = self._next().value
             array_dims = self._skip_array_suffixes()
             init = None
-            if self._accept_punct("="):
+            if self._accept("="):
                 init = self._parse_initializer()
             decl.declarators.append(
                 ast.Declarator(
@@ -241,19 +253,19 @@ class Parser:
                     init=init, **self._loc(start),
                 )
             )
-            if self._accept_punct(","):
+            if self._accept(","):
                 continue
-            self._expect_punct(";")
+            self._expect(";")
             return ast.GlobalDecl(decl=decl, **self._loc(start))
 
     def _parse_typedef(self, start: Token) -> ast.TypedefDecl:
         self._skip_storage_and_qualifiers()
-        if self._peek().is_keyword("struct") or self._peek().is_keyword("union"):
+        if self._tokens[self._pos].value in ("struct", "union"):
             is_union = self._next().value == "union"
             tag = ""
-            if self._peek().kind is TokenKind.IDENT:
+            if self._tokens[self._pos].kind is TokenKind.IDENT:
                 tag = self._next().value
-            if self._peek().is_punct("{"):
+            if self._tokens[self._pos].value == "{":
                 self._parse_struct_body(tag, is_union, start)
             base, is_struct = f"struct {tag}" if tag else "struct <anon>", True
         else:
@@ -261,7 +273,7 @@ class Parser:
         pointers = self._count_pointers()
         name = self._next().value
         self._skip_array_suffixes()
-        self._expect_punct(";")
+        self._expect(";")
         self._typedefs.add(name)
         return ast.TypedefDecl(
             name=name, base_type=base, is_struct=is_struct,
@@ -271,102 +283,108 @@ class Parser:
     def _parse_enum_def(self, start: Token) -> ast.EnumDef | None:
         self._next()  # 'enum'
         name = ""
-        if self._peek().kind is TokenKind.IDENT:
+        if self._tokens[self._pos].kind is TokenKind.IDENT:
             name = self._next().value
-        if not self._peek().is_punct("{"):
+        if self._tokens[self._pos].value != "{":
             return None
         self._next()
         enum = ast.EnumDef(name=name, **self._loc(start))
-        while not self._peek().is_punct("}"):
+        while self._tokens[self._pos].value != "}":
             member = self._next()
             if member.kind is TokenKind.IDENT:
                 enum.members.append(member.value)
-            if self._accept_punct("="):
+            if self._accept("="):
                 # Skip the constant expression.
                 depth = 0
                 while not self._at_eof():
-                    tok = self._peek()
-                    if depth == 0 and (tok.is_punct(",") or tok.is_punct("}")):
+                    tok = self._tokens[self._pos]
+                    if depth == 0 and (tok.value in (",", "}")):
                         break
-                    if tok.is_punct("("):
+                    if tok.value == "(":
                         depth += 1
-                    elif tok.is_punct(")"):
+                    elif tok.value == ")":
                         depth -= 1
                     self._next()
-            self._accept_punct(",")
-        self._expect_punct("}")
+            self._accept(",")
+        self._expect("}")
         return enum
 
     def _skip_declarators_until_semicolon(self) -> None:
         depth = 0
         while not self._at_eof():
-            tok = self._peek()
-            if depth == 0 and tok.is_punct(";"):
+            tok = self._tokens[self._pos]
+            if depth == 0 and tok.value == ";":
                 self._next()
                 return
-            if tok.is_punct("(") or tok.is_punct("{") or tok.is_punct("["):
+            if tok.value in ("(", "{", "["):
                 depth += 1
-            elif tok.is_punct(")") or tok.is_punct("}") or tok.is_punct("]"):
+            elif tok.value in (")", "}", "]"):
                 depth -= 1
             self._next()
 
     def _parse_struct_body(
         self, tag: str, is_union: bool, start: Token
     ) -> ast.StructDef:
-        self._expect_punct("{")
+        self._expect("{")
         struct = ast.StructDef(name=tag, is_union=is_union, **self._loc(start))
-        while not self._peek().is_punct("}"):
+        while self._tokens[self._pos].value != "}":
             self._parse_struct_field(struct)
-        self._expect_punct("}")
+        self._expect("}")
         self._skip_attributes()
         return struct
 
     def _parse_struct_field(self, struct: ast.StructDef) -> None:
-        start = self._peek()
+        tokens = self._tokens
+        start = tokens[self._pos]
         self._skip_storage_and_qualifiers()
-        if self._peek().is_keyword("struct") or self._peek().is_keyword("union"):
-            is_union = self._next().value == "union"
+        value = tokens[self._pos].value
+        if value in ("struct", "union"):
+            is_union = value == "union"
+            self._pos += 1
             tag = ""
-            if self._peek().kind is TokenKind.IDENT:
-                tag = self._next().value
-            if self._peek().is_punct("{"):
+            if tokens[self._pos].kind is TokenKind.IDENT:
+                tag = tokens[self._pos].value
+                self._pos += 1
+            if tokens[self._pos].value == "{":
                 # Anonymous/nested definition: flatten anonymous members.
                 inner = self._parse_struct_body(tag, is_union, start)
-                if self._accept_punct(";"):
+                if self._accept(";"):
                     struct.fields.extend(inner.fields)  # anonymous member
                     return
                 type_name, is_struct = f"struct {tag}", True
             else:
                 type_name, is_struct = f"struct {tag}", True
-        elif self._peek().is_keyword("enum"):
+        elif value == "enum":
             self._parse_enum_def(start)
             type_name, is_struct = "int", False
         else:
             type_name, is_struct = self._parse_type_name()
+        loc = self._loc(start)
         while True:
             pointers = self._count_pointers()
-            if self._accept_punct("("):
+            if tokens[self._pos].value == "(":
                 # Function-pointer member: skip to the closing of both parens.
+                self._pos += 1
                 self._skip_until_matching(")")
-                if self._accept_punct("("):
+                if self._accept("("):
                     self._skip_until_matching(")")
                 name = "<fnptr>"
                 array_dims = 0
             else:
                 name = self._next().value
                 array_dims = self._skip_array_suffixes()
-            if self._accept_punct(":"):
+            if self._accept(":"):
                 self._parse_conditional()  # bitfield width
             struct.fields.append(
                 ast.StructField(
                     type_name=type_name, is_struct=is_struct,
                     pointers=pointers, name=name, array_dims=array_dims,
-                    **self._loc(start),
+                    **loc,
                 )
             )
-            if self._accept_punct(","):
+            if self._accept(","):
                 continue
-            self._expect_punct(";")
+            self._expect(";")
             return
 
     def _parse_function_rest(
@@ -380,7 +398,7 @@ class Parser:
     ) -> ast.FunctionDef | None:
         params = self._parse_param_list()
         self._skip_attributes()
-        if self._accept_punct(";"):
+        if self._accept(";"):
             return None  # prototype
         body = self._parse_block()
         return ast.FunctionDef(
@@ -397,19 +415,19 @@ class Parser:
         )
 
     def _parse_param_list(self) -> list[ast.Param]:
-        self._expect_punct("(")
+        self._expect("(")
         params: list[ast.Param] = []
-        if self._accept_punct(")"):
+        if self._accept(")"):
             return params
         while True:
-            start = self._peek()
-            if self._peek().is_punct("..."):
+            start = self._tokens[self._pos]
+            if self._tokens[self._pos].value == "...":
                 self._next()
-            elif self._peek().is_keyword("void") and self._peek(1).is_punct(")"):
+            elif self._tokens[self._pos].value == "void" and self._tokens[self._pos + 1].value == ")":
                 self._next()
             else:
                 self._skip_storage_and_qualifiers()
-                if self._peek().is_keyword("struct") or self._peek().is_keyword("union"):
+                if self._tokens[self._pos].value in ("struct", "union"):
                     self._next()
                     tag = self._next().value
                     type_name, is_struct = f"struct {tag}", True
@@ -418,7 +436,7 @@ class Parser:
                 pointers = self._count_pointers()
                 self._skip_attributes()
                 pname = ""
-                if self._peek().kind is TokenKind.IDENT:
+                if self._tokens[self._pos].kind is TokenKind.IDENT:
                     pname = self._next().value
                 self._skip_array_suffixes()
                 params.append(
@@ -427,63 +445,58 @@ class Parser:
                         pointers=pointers, name=pname, **self._loc(start),
                     )
                 )
-            if self._accept_punct(","):
+            if self._accept(","):
                 continue
-            self._expect_punct(")")
+            self._expect(")")
             return params
 
     # -- types ----------------------------------------------------------------
 
     def _parse_type_name(self) -> tuple[str, bool]:
         """Parse a type specifier; returns (name, is_struct)."""
-        tok = self._peek()
-        if tok.is_keyword("struct") or tok.is_keyword("union"):
-            self._next()
+        tok = self._tokens[self._pos]
+        if tok.kind is TokenKind.IDENT:
+            self._pos += 1
+            self._skip_qualifiers()
+            return tok.value, False
+        if tok.value in ("struct", "union"):
+            self._pos += 1
             tag = self._next().value
             self._skip_qualifiers()
             return f"struct {tag}", True
-        if tok.is_keyword("enum"):
-            self._next()
-            if self._peek().kind is TokenKind.IDENT:
-                self._next()
+        if tok.value == "enum":
+            self._pos += 1
+            if self._tokens[self._pos].kind is TokenKind.IDENT:
+                self._pos += 1
             self._skip_qualifiers()
             return "int", False
-        if tok.kind is TokenKind.KEYWORD and tok.value in _TYPE_KEYWORDS:
+        if tok.value in _TYPE_KEYWORDS:
             parts = []
-            while (
-                self._peek().kind is TokenKind.KEYWORD
-                and self._peek().value in _TYPE_KEYWORDS
-            ):
-                parts.append(self._next().value)
+            while self._tokens[self._pos].value in _TYPE_KEYWORDS:
+                parts.append(self._tokens[self._pos].value)
+                self._pos += 1
                 self._skip_qualifiers()
             return " ".join(parts), False
-        if tok.kind is TokenKind.IDENT:
-            self._next()
-            self._skip_qualifiers()
-            return tok.value, False
         raise ParseError("expected type name", tok)
 
     def _skip_qualifiers(self) -> None:
-        while (
-            self._peek().kind is TokenKind.KEYWORD
-            and self._peek().value in _QUALIFIERS
-        ):
-            self._next()
+        while self._tokens[self._pos].value in _QUALIFIERS:
+            self._pos += 1
 
     def _count_pointers(self) -> int:
         count = 0
-        while self._accept_punct("*"):
+        while self._accept("*"):
             count += 1
             self._skip_qualifiers()
         return count
 
     def _skip_attributes(self) -> None:
-        while self._peek().is_keyword("__attribute__"):
-            self._next()
+        while self._tokens[self._pos].value == "__attribute__":
+            self._pos += 1
             self._skip_parenthesized()
 
     def _skip_parenthesized(self) -> None:
-        self._expect_punct("(")
+        self._expect("(")
         self._skip_until_matching(")")
 
     def _skip_until_matching(self, closer: str) -> None:
@@ -491,14 +504,14 @@ class Parser:
         depth = 1
         while depth and not self._at_eof():
             tok = self._next()
-            if tok.is_punct(opener):
+            if tok.value == opener:
                 depth += 1
-            elif tok.is_punct(closer):
+            elif tok.value == closer:
                 depth -= 1
 
     def _skip_array_suffixes(self) -> int:
         dims = 0
-        while self._accept_punct("["):
+        while self._accept("["):
             dims += 1
             self._skip_until_matching("]")
         return dims
@@ -506,99 +519,100 @@ class Parser:
     # -- statements -------------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
-        start = self._expect_punct("{")
+        start = self._expect("{")
         block = ast.Block(**self._loc(start))
-        while not self._peek().is_punct("}"):
+        while self._tokens[self._pos].value != "}":
             if self._at_eof():
-                raise ParseError("unterminated block", self._peek())
+                raise ParseError("unterminated block", self._tokens[self._pos])
             block.stmts.append(self._parse_statement())
         self._next()  # '}'
         return block
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
+        tokens = self._tokens
+        tok = tokens[self._pos]
+        value = tok.value
         loc = self._loc(tok)
 
-        if tok.is_punct("{"):
+        if value == "{":
             return self._parse_block()
-        if tok.is_punct(";"):
-            self._next()
+        if value == ";":
+            self._pos += 1
             return ast.Empty(**loc)
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("do"):
-            return self._parse_do_while()
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("switch"):
-            return self._parse_switch()
-        if tok.is_keyword("return"):
-            self._next()
-            value = None
-            if not self._peek().is_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return ast.Return(value=value, **loc)
-        if tok.is_keyword("break"):
-            self._next()
-            self._expect_punct(";")
-            return ast.Break(**loc)
-        if tok.is_keyword("continue"):
-            self._next()
-            self._expect_punct(";")
-            return ast.Continue(**loc)
-        if tok.is_keyword("goto"):
-            self._next()
-            label = self._next().value
-            self._expect_punct(";")
-            return ast.Goto(label=label, **loc)
-        if tok.is_keyword("case"):
-            self._next()
-            expr = self._parse_conditional()
-            self._expect_punct(":")
-            return ast.CaseLabel(expr=expr, **loc)
-        if tok.is_keyword("default"):
-            self._next()
-            self._expect_punct(":")
-            return ast.CaseLabel(expr=None, **loc)
-
-        # Label: IDENT ':' not followed by another ':' (we have no '::').
-        if tok.kind is TokenKind.IDENT and self._peek(1).is_punct(":"):
-            self._next()
-            self._next()
-            return ast.LabelStmt(name=tok.value, **loc)
-
-        if self._looks_like_declaration():
-            return self._parse_local_declaration()
+        if tok.kind is TokenKind.KEYWORD:
+            if value == "if":
+                return self._parse_if()
+            if value == "while":
+                return self._parse_while()
+            if value == "do":
+                return self._parse_do_while()
+            if value == "for":
+                return self._parse_for()
+            if value == "switch":
+                return self._parse_switch()
+            if value == "return":
+                self._pos += 1
+                expr = None
+                if tokens[self._pos].value != ";":
+                    expr = self._parse_expression()
+                self._expect(";")
+                return ast.Return(value=expr, **loc)
+            if value == "break":
+                self._pos += 1
+                self._expect(";")
+                return ast.Break(**loc)
+            if value == "continue":
+                self._pos += 1
+                self._expect(";")
+                return ast.Continue(**loc)
+            if value == "goto":
+                self._pos += 1
+                label = self._next().value
+                self._expect(";")
+                return ast.Goto(label=label, **loc)
+            if value == "case":
+                self._pos += 1
+                expr = self._parse_conditional()
+                self._expect(":")
+                return ast.CaseLabel(expr=expr, **loc)
+            if value == "default":
+                self._pos += 1
+                self._expect(":")
+                return ast.CaseLabel(expr=None, **loc)
+            if value in _DECL_START:
+                return self._parse_local_declaration()
+        elif tok.kind is TokenKind.IDENT:
+            # Label: IDENT ':' not followed by another ':' (we have no '::').
+            if tokens[self._pos + 1].value == ":":
+                self._pos += 2
+                return ast.LabelStmt(name=value, **loc)
+            if self._looks_like_declaration():
+                return self._parse_local_declaration()
 
         expr = self._parse_expression()
         # Kernel iterator macros: call expression followed by a block.
-        if isinstance(expr, ast.Call) and self._peek().is_punct("{"):
+        if tokens[self._pos].value == "{" and isinstance(expr, ast.Call):
             body = self._parse_block()
             return ast.MacroLoop(call=expr, body=body, **loc)
-        self._expect_punct(";")
+        self._expect(";")
         return ast.ExprStmt(expr=expr, **loc)
 
     def _looks_like_declaration(self) -> bool:
-        tok = self._peek()
-        if tok.kind is TokenKind.KEYWORD and tok.value in (
-            _TYPE_KEYWORDS | _STORAGE | _QUALIFIERS | {"struct", "union", "enum"}
-        ):
+        tok = self._tokens[self._pos]
+        if tok.value in _DECL_START:
             return True
         if tok.kind is TokenKind.IDENT and tok.value in self._typedefs:
             # `typedef_name [*...] ident` is a declaration.
-            offset = 1
-            while self._peek(offset).is_punct("*"):
+            offset = self._pos + 1
+            while self._tokens[offset].value == "*":
                 offset += 1
-            return self._peek(offset).kind is TokenKind.IDENT
+            return self._tokens[offset].kind is TokenKind.IDENT
         return False
 
     def _parse_local_declaration(self) -> ast.Stmt:
-        start = self._peek()
+        start = self._tokens[self._pos]
         self._skip_storage_and_qualifiers()
-        if self._peek().is_keyword("struct") or self._peek().is_keyword("union"):
+        if self._tokens[self._pos].value in ("struct", "union"):
             self._next()
             tag = self._next().value
             type_name, is_struct = f"struct {tag}", True
@@ -612,7 +626,7 @@ class Parser:
             name = self._next().value
             array_dims = self._skip_array_suffixes()
             init = None
-            if self._accept_punct("="):
+            if self._accept("="):
                 init = self._parse_initializer()
             decl.declarators.append(
                 ast.Declarator(
@@ -620,93 +634,93 @@ class Parser:
                     init=init, **self._loc(start),
                 )
             )
-            if self._accept_punct(","):
+            if self._accept(","):
                 continue
-            self._expect_punct(";")
+            self._expect(";")
             return decl
 
     def _parse_initializer(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.is_punct("{"):
+        tok = self._tokens[self._pos]
+        if tok.value == "{":
             self._next()
             init = ast.InitList(**self._loc(tok))
-            while not self._peek().is_punct("}"):
+            while self._tokens[self._pos].value != "}":
                 # Skip designators: `.field =` or `[idx] =`.
-                if self._peek().is_punct("."):
+                if self._tokens[self._pos].value == ".":
                     self._next()
                     self._next()
-                    self._expect_punct("=")
-                elif self._peek().is_punct("["):
+                    self._expect("=")
+                elif self._tokens[self._pos].value == "[":
                     self._next()
                     self._skip_until_matching("]")
-                    self._expect_punct("=")
+                    self._expect("=")
                 init.items.append(self._parse_initializer())
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
-            self._expect_punct("}")
+            self._expect("}")
             return init
         return self._parse_assignment()
 
     def _parse_if(self) -> ast.If:
         start = self._next()  # 'if'
-        self._expect_punct("(")
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         then = self._parse_statement()
         orelse = None
-        if self._accept_keyword("else"):
+        if self._accept("else"):
             orelse = self._parse_statement()
         return ast.If(cond=cond, then=then, orelse=orelse, **self._loc(start))
 
     def _parse_while(self) -> ast.While:
         start = self._next()
-        self._expect_punct("(")
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         body = self._parse_statement()
         return ast.While(cond=cond, body=body, **self._loc(start))
 
     def _parse_do_while(self) -> ast.DoWhile:
         start = self._next()
         body = self._parse_statement()
-        if not self._accept_keyword("while"):
-            raise ParseError("expected 'while' after do-body", self._peek())
-        self._expect_punct("(")
+        if not self._accept("while"):
+            raise ParseError("expected 'while' after do-body", self._tokens[self._pos])
+        self._expect("(")
         cond = self._parse_expression()
-        self._expect_punct(")")
-        self._expect_punct(";")
+        self._expect(")")
+        self._expect(";")
         return ast.DoWhile(body=body, cond=cond, **self._loc(start))
 
     def _parse_for(self) -> ast.For:
         start = self._next()
-        self._expect_punct("(")
+        self._expect("(")
         init: ast.Stmt | None = None
-        if not self._peek().is_punct(";"):
+        if self._tokens[self._pos].value != ";":
             if self._looks_like_declaration():
                 init = self._parse_local_declaration()
             else:
                 expr = self._parse_expression()
-                self._expect_punct(";")
+                self._expect(";")
                 init = ast.ExprStmt(expr=expr, **self._loc(start))
         else:
             self._next()
         cond = None
-        if not self._peek().is_punct(";"):
+        if self._tokens[self._pos].value != ";":
             cond = self._parse_expression()
-        self._expect_punct(";")
+        self._expect(";")
         step = None
-        if not self._peek().is_punct(")"):
+        if self._tokens[self._pos].value != ")":
             step = self._parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         body = self._parse_statement()
         return ast.For(init=init, cond=cond, step=step, body=body,
                        **self._loc(start))
 
     def _parse_switch(self) -> ast.Switch:
         start = self._next()
-        self._expect_punct("(")
+        self._expect("(")
         expr = self._parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         body = self._parse_statement()
         return ast.Switch(expr=expr, body=body, **self._loc(start))
 
@@ -714,9 +728,9 @@ class Parser:
 
     def _parse_expression(self) -> ast.Expr:
         expr = self._parse_assignment()
-        if self._peek().is_punct(","):
+        if self._tokens[self._pos].value == ",":
             parts = [expr]
-            while self._accept_punct(","):
+            while self._accept(","):
                 parts.append(self._parse_assignment())
             return ast.CommaExpr(parts=parts, filename=expr.filename,
                                  line=expr.line)
@@ -724,9 +738,9 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         lhs = self._parse_conditional()
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.value in _ASSIGN_OPS:
-            self._next()
+        tok = self._tokens[self._pos]
+        if tok.value in _ASSIGN_OPS:
+            self._pos += 1
             rhs = self._parse_assignment()
             return ast.Assign(op=tok.value, target=lhs, value=rhs,
                               **self._loc(tok))
@@ -734,10 +748,11 @@ class Parser:
 
     def _parse_conditional(self) -> ast.Expr:
         cond = self._parse_binary(1)
-        tok = self._peek()
-        if self._accept_punct("?"):
+        tok = self._tokens[self._pos]
+        if tok.value == "?":
+            self._pos += 1
             then = self._parse_expression()
-            self._expect_punct(":")
+            self._expect(":")
             other = self._parse_conditional()
             return ast.Ternary(cond=cond, then=then, other=other,
                                **self._loc(tok))
@@ -745,50 +760,45 @@ class Parser:
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
         lhs = self._parse_unary()
+        tokens = self._tokens
         while True:
-            tok = self._peek()
-            prec = (
-                _BINARY_PRECEDENCE.get(tok.value, 0)
-                if tok.kind is TokenKind.PUNCT
-                else 0
-            )
+            tok = tokens[self._pos]
+            prec = _BINARY_PRECEDENCE.get(tok.value, 0)
             if prec < min_prec:
                 return lhs
-            self._next()
+            self._pos += 1
             rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(op=tok.value, lhs=lhs, rhs=rhs, **self._loc(tok))
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.value in ("!", "~", "-", "+",
-                                                         "*", "&", "++", "--"):
-            self._next()
+        tok = self._tokens[self._pos]
+        value = tok.value
+        if value in _UNARY_OPS:
+            self._pos += 1
             operand = self._parse_unary()
-            return ast.Unary(op=tok.value, operand=operand, prefix=True,
+            return ast.Unary(op=value, operand=operand, prefix=True,
                              **self._loc(tok))
-        if tok.is_keyword("sizeof"):
-            self._next()
-            if self._peek().is_punct("("):
-                start = self._pos
-                self._next()
+        if value == "sizeof":
+            self._pos += 1
+            if self._accept("("):
                 depth = 1
                 chars: list[str] = []
                 while depth and not self._at_eof():
                     t = self._next()
-                    if t.is_punct("("):
+                    if t.value == "(":
                         depth += 1
-                    elif t.is_punct(")"):
+                    elif t.value == ")":
                         depth -= 1
                     if depth:
                         chars.append(t.value)
                 return ast.SizeOf(text=" ".join(chars), **self._loc(tok))
-            operand = self._parse_unary()
+            self._parse_unary()
             return ast.SizeOf(text="<expr>", **self._loc(tok))
-        if tok.is_punct("(") and self._is_cast():
-            self._next()
+        if value == "(" and self._is_cast():
+            self._pos += 1
             type_name, _ = self._parse_type_name()
             pointers = self._count_pointers()
-            self._expect_punct(")")
+            self._expect(")")
             operand = self._parse_unary()
             return ast.Cast(type_name=type_name, pointers=pointers,
                             operand=operand, **self._loc(tok))
@@ -796,106 +806,97 @@ class Parser:
 
     def _is_cast(self) -> bool:
         """Heuristic: `(` TYPE [`*`...] `)` followed by a unary-start token."""
-        offset = 1
-        tok = self._peek(offset)
-        if tok.kind is TokenKind.KEYWORD and tok.value in (
-            _TYPE_KEYWORDS | {"struct", "union", "const", "volatile", "unsigned", "signed"}
+        tokens = self._tokens
+        offset = self._pos + 1
+        tok = tokens[offset]
+        if tok.value not in _CAST_START and not (
+            tok.kind is TokenKind.IDENT and tok.value in self._typedefs
         ):
-            pass
-        elif tok.kind is TokenKind.IDENT and tok.value in self._typedefs:
-            pass
-        else:
             return False
         # Scan forward to the matching ')'.
         depth = 1
-        offset = 1
         while True:
-            tok = self._peek(offset)
+            tok = tokens[offset]
             if tok.kind is TokenKind.EOF:
                 return False
-            if tok.is_punct("("):
+            if tok.value == "(":
                 depth += 1
-            elif tok.is_punct(")"):
+            elif tok.value == ")":
                 depth -= 1
                 if depth == 0:
                     break
             offset += 1
-        after = self._peek(offset + 1)
+        after = tokens[offset + 1]
         if after.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING,
                           TokenKind.CHAR):
             return True
-        return after.kind is TokenKind.PUNCT and after.value in (
-            "(", "*", "&", "!", "~", "-", "+", "++", "--"
-        )
+        return after.value in _CAST_FOLLOW
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self._tokens
         while True:
-            tok = self._peek()
-            if tok.is_punct("("):
-                self._next()
+            tok = tokens[self._pos]
+            value = tok.value
+            if value not in _POSTFIX_OPS:
+                return expr
+            self._pos += 1
+            if value == "(":
                 args: list[ast.Expr] = []
-                if not self._peek().is_punct(")"):
+                if tokens[self._pos].value != ")":
                     while True:
                         args.append(self._parse_assignment())
-                        if not self._accept_punct(","):
+                        if tokens[self._pos].value != ",":
                             break
-                self._expect_punct(")")
+                        self._pos += 1
+                self._expect(")")
                 expr = ast.Call(func=expr, args=args, **self._loc(tok))
-            elif tok.is_punct("["):
-                self._next()
+            elif value == "[":
                 index = self._parse_expression()
-                self._expect_punct("]")
+                self._expect("]")
                 expr = ast.Index(obj=expr, index=index, **self._loc(tok))
-            elif tok.is_punct("."):
-                self._next()
+            elif value == "." or value == "->":
                 name = self._next().value
-                expr = ast.Member(obj=expr, fieldname=name, arrow=False,
-                                  **self._loc(tok))
-            elif tok.is_punct("->"):
-                self._next()
-                name = self._next().value
-                expr = ast.Member(obj=expr, fieldname=name, arrow=True,
-                                  **self._loc(tok))
-            elif tok.is_punct("++") or tok.is_punct("--"):
-                self._next()
-                expr = ast.Unary(op=tok.value, operand=expr, prefix=False,
-                                 **self._loc(tok))
+                expr = ast.Member(obj=expr, fieldname=name,
+                                  arrow=value == "->", **self._loc(tok))
             else:
-                return expr
+                expr = ast.Unary(op=value, operand=expr, prefix=False,
+                                 **self._loc(tok))
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self._tokens[self._pos]
+        kind = tok.kind
         loc = self._loc(tok)
-        if tok.is_keyword("struct") or tok.is_keyword("union"):
+        if kind is TokenKind.IDENT:
+            self._pos += 1
+            return ast.Ident(name=tok.value, **loc)
+        if kind is TokenKind.NUMBER:
+            self._pos += 1
+            return ast.Number(text=tok.value, **loc)
+        if tok.value == "(":
+            self._pos += 1
+            expr = self._parse_expression()
+            self._expect(")")
+            return expr
+        if tok.value in ("struct", "union"):
             # Type name used as an expression argument — the kernel's
             # `container_of(ptr, struct foo, member)` idiom.  Parsed as
             # an identifier carrying the spelled type.
-            self._next()
+            self._pos += 1
             tag = self._next().value
             return ast.Ident(name=f"struct {tag}", **loc)
-        if tok.is_punct("("):
-            self._next()
-            expr = self._parse_expression()
-            self._expect_punct(")")
-            return expr
-        if tok.kind is TokenKind.IDENT:
-            self._next()
-            return ast.Ident(name=tok.value, **loc)
-        if tok.kind is TokenKind.NUMBER:
-            self._next()
-            return ast.Number(text=tok.value, **loc)
-        if tok.kind is TokenKind.STRING:
-            self._next()
+        if kind is TokenKind.STRING:
+            self._pos += 1
             # Adjacent string literal concatenation.
             text = tok.value
-            while self._peek().kind is TokenKind.STRING:
-                text += self._next().value
+            while self._tokens[self._pos].kind is TokenKind.STRING:
+                text += self._tokens[self._pos].value
+                self._pos += 1
             return ast.String(text=text, **loc)
-        if tok.kind is TokenKind.CHAR:
-            self._next()
+        if kind is TokenKind.CHAR:
+            self._pos += 1
             return ast.CharLit(text=tok.value, **loc)
-        if tok.is_punct("{"):
+        if tok.value == "{":
             return self._parse_initializer()
         raise ParseError("expected expression", tok)
 
@@ -911,7 +912,9 @@ def parse_source(
     from repro.cparse.preprocessor import Preprocessor
 
     if defines is None and include_resolver is None:
-        tokens = tokenize(text, filename)
+        # A preprocessed stream holds no directive; a raw one drops them.
+        tokens = [t for t in tokenize(text, filename)
+                  if t.kind is not TokenKind.DIRECTIVE]
     else:
         pp = Preprocessor(defines or {}, include_resolver)
         tokens = pp.preprocess(text, filename)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cparse.lexer import Token, TokenKind, tokenize
+from repro.trace.context import count
 
 
 class PreprocessorError(Exception):
@@ -51,12 +52,39 @@ def _is_macro_name(tok: Token, macros: dict[str, Macro]) -> bool:
 
     Preprocessing happens before keyword classification in C, so a macro
     may shadow a keyword (``#define if ...``); the lexer has already
-    tagged such tokens ``KEYWORD``, so both kinds must be checked.
+    tagged such tokens ``KEYWORD``, so both kinds must be checked.  The
+    value test comes first: it fails for almost every token.
+    ``Preprocessor._process`` inlines this test.
     """
-    return (
-        tok.kind in (TokenKind.IDENT, TokenKind.KEYWORD)
-        and tok.value in macros
-    )
+    return tok.value in macros and tok.kind in (TokenKind.IDENT,
+                                                TokenKind.KEYWORD)
+
+
+#: Replacement lists by ``(text, filename)``: every file of a run starts
+#: from the same config defines, and a header's ``#define``s recur in
+#: each file that includes it.  The lists are shared, so no code may
+#: mutate a ``Token``.
+_BODIES: dict[tuple[str, str], list[Token]] = {}
+_BODIES_MAX = 4096
+
+
+def _body_tokens(text: str, filename: str) -> list[Token]:
+    """The tokens of a macro's replacement text, without the EOF.
+
+    A body that starts with ``#`` lexes as one directive token; it is
+    dropped, so no expansion puts a directive in the output.
+    """
+    key = (text, filename)
+    body = _BODIES.get(key)
+    if body is not None:
+        count("define.hits")
+        return body
+    count("define.misses")
+    if len(_BODIES) >= _BODIES_MAX:
+        _BODIES.clear()
+    body = _BODIES[key] = [t for t in tokenize(text, filename)[:-1]
+                           if t.kind is not TokenKind.DIRECTIVE]
+    return body
 
 
 @dataclass
@@ -81,7 +109,7 @@ class Preprocessor:
     def __post_init__(self) -> None:
         self._macros: dict[str, Macro] = {}
         for name, value in self.defines.items():
-            self._macros[name] = Macro(name, tokenize(value)[:-1])
+            self._macros[name] = Macro(name, _body_tokens(value, "<source>"))
         self._included: set[str] = set()
 
     # -- public API --------------------------------------------------------
@@ -102,25 +130,30 @@ class Preprocessor:
         if depth > self.max_include_depth:
             raise PreprocessorError("maximum include depth exceeded")
         out: list[Token] = []
+        append = out.append
+        macros = self._macros
+        directive = TokenKind.DIRECTIVE
+        names = (TokenKind.IDENT, TokenKind.KEYWORD)
         # Conditional-inclusion stack: each entry is (taking, taken_before).
         cond_stack: list[list[bool]] = []
-        i = 0
-        while i < len(tokens):
+        skipping = False
+        i, end = 0, len(tokens)
+        while i < end:
             tok = tokens[i]
-            if tok.kind is TokenKind.DIRECTIVE:
+            if tok.kind is directive:
                 i += 1
                 self._handle_directive(tok, cond_stack, out, depth)
-                continue
-            if cond_stack and not all(entry[0] for entry in cond_stack):
+                skipping = not all(entry[0] for entry in cond_stack)
+            elif skipping:
                 i += 1
-                continue
-            if _is_macro_name(tok, self._macros):
+            elif tok.value in macros and tok.kind in names:
+                # `_is_macro_name`, inlined.
                 expanded, consumed = self._expand_macro(tokens, i, set())
                 out.extend(expanded)
                 i += consumed
-                continue
-            out.append(tok)
-            i += 1
+            else:
+                append(tok)
+                i += 1
         if cond_stack:
             raise PreprocessorError("unterminated #if block")
         return out
@@ -216,11 +249,11 @@ class Preprocessor:
                         params.append(p)
             body = rest[close + 1:].strip()
             self._macros[name] = Macro(
-                name, tokenize(body, tok.filename)[:-1], params, variadic
+                name, _body_tokens(body, tok.filename), params, variadic
             )
         else:
             body = rest[name_end:].strip()
-            self._macros[name] = Macro(name, tokenize(body, tok.filename)[:-1])
+            self._macros[name] = Macro(name, _body_tokens(body, tok.filename))
 
     def _include(
         self, rest: str, tok: Token, out: list[Token], depth: int
@@ -258,8 +291,8 @@ class Preprocessor:
         while i < len(tokens):
             t = tokens[i]
             if t.is_ident("defined"):
-                if i + 1 < len(tokens) and tokens[i + 1].is_punct("("):
-                    if i + 3 >= len(tokens) or not tokens[i + 3].is_punct(")"):
+                if i + 1 < len(tokens) and tokens[i + 1].value == "(":
+                    if i + 3 >= len(tokens) or tokens[i + 3].value != ")":
                         raise PreprocessorError(
                             f"{tok.location}: malformed defined()"
                         )
@@ -300,7 +333,7 @@ class Preprocessor:
         if not macro.is_function_like:
             return self._rescan(macro.body, hide | {macro.name}, tok), 1
         # Function-like: require '(' as the next token, else leave alone.
-        if index + 1 >= len(tokens) or not tokens[index + 1].is_punct("("):
+        if index + 1 >= len(tokens) or tokens[index + 1].value != "(":
             return [tok], 1
         args, consumed = self._collect_args(tokens, index + 1, tok)
         # Arguments are macro-expanded before substitution (as in real C
@@ -348,22 +381,23 @@ class Preprocessor:
         i = open_index
         while i < len(tokens):
             t = tokens[i]
-            if t.is_punct("("):
+            if t.value == "(":
                 nesting += 1
                 if nesting > 1:
                     current.append(t)
-            elif t.is_punct(")"):
+            elif t.value == ")":
                 nesting -= 1
                 if nesting == 0:
                     args.append(current)
                     return args, i - open_index + 1
                 current.append(t)
-            elif t.is_punct(",") and nesting == 1:
+            elif t.value == "," and nesting == 1:
                 args.append(current)
                 current = []
             elif t.kind is TokenKind.EOF:
                 break
-            else:
+            elif t.kind is not TokenKind.DIRECTIVE:
+                # A directive line inside the arguments is dropped.
                 current.append(t)
             i += 1
         raise PreprocessorError(f"{tok.location}: unterminated macro call")

@@ -187,7 +187,8 @@ class AnalysisExecutor:
         wid = next(self._wid_seq)
         task_q = self._mp.Queue()
         process = self._mp.Process(
-            target=worker_main, args=(wid, task_q, self._result_q),
+            target=worker_main,
+            args=(wid, task_q, self._result_q, os.getpid()),
             name=f"ofence-exec-{wid}", daemon=True,
         )
         process.start()

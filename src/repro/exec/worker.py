@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import queue
 import traceback
 from collections import OrderedDict
 from contextlib import nullcontext
@@ -44,6 +45,10 @@ CHECK_CACHE_CAP = 64
 
 #: Exit code of the ``("crash",)`` test hook.
 _EXIT_CRASH = 23
+
+#: Seconds an idle worker waits on its queue before it checks that its
+#: owner is still alive.
+_OWNER_CHECK_S = 1.0
 
 
 class _WorkerState:
@@ -267,19 +272,30 @@ def _handle_check(state: _WorkerState, msg):
     return results
 
 
-def worker_main(worker_id: int, task_q, result_q) -> None:
+def worker_main(worker_id: int, task_q, result_q, owner: int) -> None:
     """Entry point of one pool process (must be importable for spawn).
 
-    The loop runs in an empty context: a forked worker would otherwise
+    ``owner`` is the pid of the process that started the worker.  The
+    loop runs in an empty context: a forked worker would otherwise
     inherit whatever trace was active in the parent when it forked.
     """
-    contextvars.Context().run(_task_loop, worker_id, task_q, result_q)
+    contextvars.Context().run(_task_loop, worker_id, task_q, result_q,
+                              owner)
 
 
-def _task_loop(worker_id: int, task_q, result_q) -> None:
+def _task_loop(worker_id: int, task_q, result_q, owner: int) -> None:
     state = _WorkerState()
     while True:
-        msg = task_q.get()
+        # An owner that ends without closing the pool (``os._exit``, a
+        # kill) sends no "exit"; its workers are re-parented, so a pid
+        # check finds them.  A pipe or sentinel would not: under fork a
+        # later sibling inherits the owner's end and keeps it open.
+        try:
+            msg = task_q.get(timeout=_OWNER_CHECK_S)
+        except queue.Empty:
+            if os.getppid() != owner:
+                return
+            continue
         kind = msg[0]
         if kind == "exit":
             return

@@ -40,7 +40,7 @@ from repro.analysis.barrier_scan import BarrierSite
 from repro.pairing.model import Pairing, PairingResult
 
 
-@dataclass
+@dataclass(slots=True)
 class _Candidate:
     writer: BarrierSite
     match: BarrierSite

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.analysis.accesses import ObjectKey
 from repro.analysis.barrier_scan import BarrierSite
 
 
-@dataclass
+@dataclass(slots=True)
 class Pairing:
     """A set of barriers inferred to run concurrently.
 
@@ -25,6 +24,9 @@ class Pairing:
     #: Set on sub-pairings produced by broadcast decomposition (one
     #: writer × one reader slice of a multi pairing).
     parent: "Pairing | None" = None
+    #: Filled by :attr:`slices` on first use.
+    _slices: "list[Pairing] | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def writer(self) -> BarrierSite:
@@ -49,7 +51,7 @@ class Pairing:
                 seen.append(item)
         return seen
 
-    @cached_property
+    @property
     def slices(self) -> "list[Pairing]":
         """Writer×reader sub-pairings of a broadcast-shaped multi pairing.
 
@@ -60,6 +62,11 @@ class Pairing:
         the seqcount checker owns them.  Built once per pairing, so a
         pairing reused by a later run brings the same slice objects.
         """
+        if self._slices is None:
+            self._slices = self._build_slices()
+        return self._slices
+
+    def _build_slices(self) -> "list[Pairing]":
         if not self.is_multi:
             return []
         per_function = Counter(

@@ -126,22 +126,38 @@ def _forced_hunk(a: list[str], b: list[str], filename: str,
     """The hunk difflib would emit, when its alignment is forced.
 
     Write ``a = P + [x] + S`` with ``P``/``S`` the common prefix and
-    suffix, and ``b = P + [y] + S`` (a replacement) or ``b = P + S`` (a
-    deletion).  difflib recursively takes the longest matching block,
-    ties going to the smallest index in ``a``, then splits around it.
-    With fewer than 200 lines no line is junk, and when
+    suffix, ``p``/``s`` their lengths, and ``b = P + [y] + S`` (a
+    replacement) or ``b = P + S`` (a deletion).  difflib takes the
+    longest matching block, ties going to the smallest index in ``a``
+    (then in ``b``), then recurses on both sides of it.  With fewer than
+    200 lines no line is junk.  When
 
-    * ``x`` does not occur in ``S``,
     * for a replacement, ``y`` occurs nowhere in ``a``, and
     * for a deletion, ``P[-1]`` is followed by ``S[0]`` nowhere in ``a``,
 
     no block of ``b`` can include ``y`` or span the ``P``/``S`` seam, so
-    a longest block is all of ``P`` (found first at index 0) or all of
-    ``S``.  ``S`` can only sit at its own place: an earlier start would
-    cover ``x`` and put it in ``S``.  The recursion then matches the
-    other side at its own place too, leaving the aligned opcodes
-    ``equal P, replace/delete x, equal S``: one hunk with ``context``
-    lines either side.  None when a condition fails.
+    every block lies in ``P`` or in ``S`` on ``b``'s side, and the
+    longest is all of ``P`` (at index 0, the first in ``a``) or all of
+    ``S`` (at its first start in ``a``).
+
+    * ``s <= p``: ``P`` wins at its own place, and the right-hand rest is
+      ``[x] + S`` against ``[y] + S`` or ``S``.  ``S`` there starts at
+      the first of two places, ``p`` or its own ``p + 1``.  It starts at
+      ``p`` exactly when ``x + S`` is one repeated line (``S`` equals
+      ``x + S[:-1]``), which a deletion never meets: its ``x`` differs
+      from ``S[0]``, or the prefix would be longer.
+    * ``s > p``: ``S`` wins at its first start in ``a``.  A start
+      ``i <= p`` puts ``a[p] = x`` inside the block, so it needs ``x`` in
+      ``S``; a start ``i > p + 1`` leaves no room.  At its own place the
+      left-hand rest is ``P + [x]`` against ``P + [y]`` or ``P``, where
+      ``P`` wins at index 0.
+
+    So the alignment is forced exactly when ``S`` has no start in ``a``
+    at an index ``i`` from ``p`` (``s <= p``) or ``0`` (``s > p``) to
+    ``p``; that needs ``x`` in ``S``, and with ``x`` not in ``S`` it always
+    holds.  The opcodes are then ``equal P, replace/delete x, equal S``:
+    one hunk with ``context`` lines either side.  None when a condition
+    fails.
     """
     la, lb = len(a), len(b)
     if la >= _AUTOJUNK_LINES or lb >= _AUTOJUNK_LINES \
@@ -156,8 +172,12 @@ def _forced_hunk(a: list[str], b: list[str], filename: str,
     if p + s != la - 1:
         return None  # more than one line changed
     removed = a[p]
-    if removed in a[p + 1:]:
-        return None
+    suffix = a[p + 1:]
+    if removed in suffix:
+        first = suffix[0]
+        if any(a[i] == first and a[i:i + s] == suffix
+               for i in range(p if s <= p else 0, p + 1)):
+            return None
     replace = lb == la
     if replace:
         if b[p] in a:

@@ -8,6 +8,7 @@ degrade to the serial path, never to wrong output.
 """
 
 import os
+import select
 import time
 
 import pytest
@@ -128,6 +129,59 @@ class TestFailureModes:
                 corpus.source, _exec_options(ex)
             ).analyze()
         assert run_signature(result) == serial_signature
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan's new
+    parent may be slow to reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestOwnerExit:
+    def test_workers_exit_when_owner_dies_without_closing(self):
+        """An owner that ends through ``os._exit`` closes nothing; its
+        workers must still go, or they hold its caller's pipes open."""
+        case = generate_case(4)
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # the owner
+            try:
+                os.close(read_end)
+                ex = AnalysisExecutor(workers=2)
+                OFenceEngine(case.source, _exec_options(ex)).analyze()
+                pids = [w.process.pid for w in ex._workers]
+                os.write(write_end, " ".join(map(str, pids)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        pids: list[int] = []
+        try:
+            # The workers inherit the write end, so wait for the data,
+            # not for the end of file.
+            ready, _, _ = select.select([read_end], [], [], 60)
+            if ready:
+                pids = [int(pid) for pid in os.read(read_end, 4096).split()]
+            os.waitpid(child, 0)
+            assert len(pids) == 2
+            deadline = time.monotonic() + 15
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            os.close(read_end)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, 9)
 
 
 class TestStartMethod:

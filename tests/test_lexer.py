@@ -186,16 +186,6 @@ class TestLocations:
 
 
 class TestTokenHelpers:
-    def test_is_punct(self):
-        tok = Token(TokenKind.PUNCT, ";", "f.c", 1, 1)
-        assert tok.is_punct(";")
-        assert not tok.is_punct(",")
-
-    def test_is_keyword(self):
-        tok = Token(TokenKind.KEYWORD, "if", "f.c", 1, 1)
-        assert tok.is_keyword("if")
-        assert not tok.is_keyword("while")
-
     def test_is_ident_with_and_without_value(self):
         tok = Token(TokenKind.IDENT, "foo", "f.c", 1, 1)
         assert tok.is_ident()

@@ -1,9 +1,16 @@
 """Unit tests for the C parser."""
 
+import hashlib
+
 import pytest
 
+from repro.corpus import CorpusSpec, generate_corpus
 from repro.cparse import astnodes as ast
+from repro.cparse.lexer import KEYWORDS, LexError, TokenKind
 from repro.cparse.parser import ParseError, parse_source
+from repro.cparse.preprocessor import Preprocessor, PreprocessorError
+from repro.fuzz.generate import generate_case
+from repro.kernel.config import default_config
 
 
 def parse(src):
@@ -374,3 +381,78 @@ class TestKernelPatterns:
     def test_read_once_call(self):
         expr = first_expr("task = READ_ONCE(event->task)")
         assert expr.value.callee_name == "READ_ONCE"
+
+
+#: sha256 of the reprs of the units below, as produced by the parser that
+#: compared tokens through ``Token.is_punct``/``is_keyword`` and ``_peek``.
+AST_DIGEST = (
+    "47faabefbee0e43b046cdbb302473b630c204c1af50bc91dc0fa046f0be53dcf"
+)
+
+
+def ast_digest_inputs():
+    """``(name, text, headers)`` for the small corpora, fuzz cases 0-99
+    and the paper corpus's headers (seed 2023)."""
+    for seed in (7, 31):
+        source = generate_corpus(CorpusSpec.small(), seed=seed).source
+        for name, text in sorted(source.files.items()):
+            yield name, text, source.headers
+        for name, text in sorted(source.headers.items()):
+            yield name, text, source.headers
+    for seed in range(100):
+        case = generate_case(seed)
+        for name, text in sorted({**case.files, **case.headers}.items()):
+            yield name, text, case.headers
+    headers = generate_corpus(CorpusSpec.paper(), seed=2023).source.headers
+    for name, text in sorted(headers.items()):
+        yield name, text, headers
+
+
+def _frontend_kwargs(headers):
+    return {
+        "defines": default_config().defines(),
+        "include_resolver": lambda name, system: headers.get(name),
+    }
+
+
+class TestAstDigest:
+    def test_preprocessed_units_are_unchanged(self):
+        digest = hashlib.sha256()
+        for name, text, headers in ast_digest_inputs():
+            try:
+                unit = parse_source(text, name, **_frontend_kwargs(headers))
+            except Exception as exc:
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            digest.update(repr(unit).encode())
+        assert digest.hexdigest() == AST_DIGEST
+
+
+#: Every punctuator spelling of the lexical grammar.
+PUNCTUATORS = frozenset(
+    "<<= >>= ... -> ++ -- << >> && || += -= *= /= %= &= ^= |= <= >= == "
+    "!= [ ] ( ) { } . & * + - ~ ! / % < > ^ | ? : ; = ,".split()
+)
+
+
+class TestValueIsTag:
+    """The parser tests ``tok.value == "{"`` alone; that holds only while
+    a value names its kind."""
+
+    def test_value_names_kind_after_preprocessing(self):
+        checked = 0
+        for name, text, headers in ast_digest_inputs():
+            kwargs = _frontend_kwargs(headers)
+            pp = Preprocessor(kwargs["defines"], kwargs["include_resolver"])
+            try:
+                tokens = pp.preprocess(text, name)
+            except (LexError, PreprocessorError):
+                continue
+            for tok in tokens:
+                assert (tok.value in PUNCTUATORS) == (
+                    tok.kind is TokenKind.PUNCT), tok
+                assert (tok.value in KEYWORDS) == (
+                    tok.kind is TokenKind.KEYWORD), tok
+                assert tok.kind is not TokenKind.DIRECTIVE, tok
+            checked += len(tokens)
+        assert checked > 50_000

@@ -163,10 +163,53 @@ class TestUnifiedDiff:
             forced += _forced_hunk(a, b, "f.c", 3) is not None
         assert forced > 500  # the direct path is exercised, not bypassed
 
+    def test_forced_hunk_with_removed_line_below_matches_difflib(self):
+        """Seeded differential test of the recurring-line rule: lines from
+        2-4 symbols laid out in runs, so the removed line usually recurs
+        below it and difflib's ties are common."""
+        rng = random.Random(11)
+        recurring = declined = 0
+        for _ in range(4000):
+            alphabet = [f"s{i}\n" for i in range(rng.randint(2, 4))]
+            old: list[str] = []
+            while len(old) < rng.randint(2, 40):
+                old += [rng.choice(alphabet)] * rng.choice((1, 1, 2, 3, 5))
+            where = rng.randrange(len(old))
+            new = list(old)
+            if rng.random() < 0.6:
+                new[where] = "y\n"
+            else:
+                del new[where]
+            expected = "".join(difflib.unified_diff(
+                old, new, "a/f.c", "b/f.c"))
+            hunk = _forced_hunk(old, new, "f.c", 3)
+            if hunk is None:
+                declined += 1
+                continue
+            assert hunk == expected, (old, new)
+            removed = next(
+                i for i, (x, y) in enumerate(zip(old, new + [None]))
+                if x != y)
+            recurring += old[removed] in old[removed + 1:]
+        assert recurring > 1000 and declined > 100, (recurring, declined)
+
     def test_forced_hunk_declines_ambiguous_alignment(self):
-        # The removed line recurs below it: difflib may align either copy.
+        # The removed line starts a run of itself: difflib aligns the
+        # suffix one line early.
         assert _forced_hunk(["a\n", "a\n"], ["b\n", "a\n"], "f.c", 3) \
             is None
+        run = ["p\n", "q\n", "a\n", "a\n"]
+        assert _forced_hunk(run, ["p\n", "q\n", "b\n", "a\n"], "f.c", 3) \
+            is None
+        # The suffix, longer than the prefix, also starts earlier in `a`.
+        old = ["p\n", "x\n", "p\n", "x\n"]
+        assert _forced_hunk(old, ["p\n", "y\n", "p\n", "x\n"], "f.c", 3) \
+            is None
+        # The removed line recurs below, but the suffix starts only at
+        # its own place: the alignment is forced.
+        old = ["p\n", "q\n", "x\n", "r\n", "x\n"]
+        assert _forced_hunk(old, ["p\n", "q\n", "y\n", "r\n", "x\n"],
+                            "f.c", 3)
         # The deletion joins a pair already adjacent elsewhere.
         old = ["p\n", "q\n", "p\n", "x\n", "q\n"]
         assert _forced_hunk(old, old[:3] + old[4:], "f.c", 3) is None

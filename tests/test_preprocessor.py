@@ -231,3 +231,14 @@ class TestMiscDirectives:
     def test_unknown_directive_in_dead_branch_ignored(self):
         out = expand("#ifdef X\n#frobnicate\n#endif\nint a;")
         assert out == ["int", "a", ";"]
+
+
+class TestNoDirectiveInOutput:
+    """The parser relies on a preprocessed stream holding no directive."""
+
+    def test_hash_body_expands_to_nothing(self):
+        assert expand("#define S(x) #x\nint a S(b);") == ["int", "a", ";"]
+
+    def test_directive_inside_macro_arguments_is_dropped(self):
+        out = expand("#define F(x) x\nint a = F(1\n#pragma once\n);")
+        assert out == ["int", "a", "=", "1", ";"]

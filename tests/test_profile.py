@@ -8,6 +8,7 @@ import pytest
 from repro.core.engine import AnalysisOptions, KernelSource, OFenceEngine
 from repro.core.profile import StageProfile
 from repro.corpus import CorpusSpec, generate_corpus
+from repro.cparse import preprocessor
 from repro.exec.executor import AnalysisExecutor
 from repro.trace import count, recording, span, start_trace
 
@@ -129,6 +130,34 @@ class TestMemoCounters:
                 assert sum(
                     line.split()[:1] == [name] for line in lines
                 ) == 1, name
+
+
+class TestDefineMemo:
+    """The define memo outlives engines, so each test starts it empty."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(preprocessor, "_BODIES", {})
+
+    def test_second_file_hits(self):
+        text = '#include "m.h"\n' + TestEngineProfile.SRC["w.c"]
+        source = KernelSource(files={"a.c": text, "b.c": text},
+                              headers={"m.h": "#define WIDTH 32\n"})
+        defines = AnalysisOptions().config.defines()
+        assert set(defines.values()) == {"1"}
+        counters = OFenceEngine(source).analyze().profile.counters
+        # a.c lexes "1" once and WIDTH's body once; b.c lexes nothing.
+        assert counters["define.misses"] == 2
+        assert counters["define.hits"] == 2 * len(defines)
+
+    def test_profile_lists_its_pair_once(self, corpus, tmp_path, capsys):
+        from repro.cli import main
+
+        corpus.source.write_to(tmp_path)
+        assert main(["analyze", str(tmp_path), "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("define.hits", "define.misses"):
+            assert sum(line.split()[:1] == [name] for line in lines) == 1
 
 
 def _assert_stages_are_span_sums(result, trace) -> None:
