@@ -131,22 +131,20 @@ class TestFailureModes:
         assert run_signature(result) == serial_signature
 
 
-def _running(pid: int) -> bool:
-    """True while ``pid`` exists and is not a zombie (an orphan's new
-    parent may be slow to reap it)."""
+def _exited(pid: int, deadline: float) -> bool:
+    """Wait until ``pid`` ends (a zombie counts) or ``deadline`` passes."""
     try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-    except OSError:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
+        fd = os.pidfd_open(pid)
+    except ProcessLookupError:
         return True
+    try:
+        timeout = max(0.0, deadline - time.monotonic())
+        return bool(select.select([fd], [], [], timeout)[0])
+    finally:
+        os.close(fd)
 
 
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd")
 class TestOwnerExit:
     def test_workers_exit_when_owner_dies_without_closing(self):
         """An owner that ends through ``os._exit`` closes nothing; its
@@ -174,13 +172,11 @@ class TestOwnerExit:
             os.waitpid(child, 0)
             assert len(pids) == 2
             deadline = time.monotonic() + 15
-            while any(map(_running, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not [pid for pid in pids if _running(pid)]
+            assert [pid for pid in pids if not _exited(pid, deadline)] == []
         finally:
             os.close(read_end)
             for pid in pids:
-                if _running(pid):
+                if not _exited(pid, time.monotonic()):
                     os.kill(pid, 9)
 
 
