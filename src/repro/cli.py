@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the analysis daemon (JSON over HTTP; warm engine "
-             "pool, request batching, /metrics)",
+             "pool, job queue, /metrics)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8731)
@@ -172,10 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="warm engines kept (LRU evicted past it)")
     serve.add_argument("--queue-capacity", type=int, default=32,
                        help="queued jobs before 503 backpressure")
-    serve.add_argument("--batch-limit", type=int, default=8,
-                       help="max reanalyze jobs coalesced per batch")
     serve.add_argument("--job-workers", type=int, default=1,
-                       help="concurrent job-executing threads")
+                       help="concurrent job-executing threads (one job "
+                            "per tree at a time)")
     serve.add_argument("--exec-workers", type=int, default=None,
                        metavar="N",
                        help="process-pool workers shared by all warm "
@@ -590,7 +589,6 @@ def cmd_serve(args) -> int:
         options=_perf_options(args),
         pool_capacity=args.pool_size,
         queue_capacity=args.queue_capacity,
-        batch_limit=args.batch_limit,
         workers=args.job_workers,
         exec_workers=args.exec_workers,
         store_dir=str(args.store_dir) if args.store_dir else None,

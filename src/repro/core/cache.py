@@ -134,9 +134,7 @@ class CachedScan:
 
 @dataclass
 class CacheStats:
-    memory_hits: int = 0
     disk_hits: int = 0
-    misses: int = 0
     rejected: int = 0  # corrupted / stale / version-mismatched entries
     corrupt: int = 0   # subset of rejected: undecodable files (deleted)
     stores: int = 0
@@ -144,9 +142,7 @@ class CacheStats:
 
     def as_dict(self) -> dict[str, int]:
         return {
-            "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "misses": self.misses,
             "rejected": self.rejected,
             "corrupt": self.corrupt,
             "stores": self.stores,
@@ -154,9 +150,7 @@ class CacheStats:
         }
 
     def merge(self, other: "CacheStats") -> None:
-        self.memory_hits += other.memory_hits
         self.disk_hits += other.disk_hits
-        self.misses += other.misses
         self.rejected += other.rejected
         self.corrupt += other.corrupt
         self.stores += other.stores

@@ -102,6 +102,37 @@ class FileFailure(str):
         return f"{self.path} [{self.stage}] {self.error}".rstrip()
 
 
+def scan_file(
+    text: str,
+    path: str,
+    defines: dict[str, str],
+    headers: dict[str, str],
+    limits: ScanLimits,
+) -> tuple[BarrierScanner | None, list[BarrierSite], str | None]:
+    """Parse and scan one file: ``(scanner, sites, error)``; never raises.
+
+    On failure the scanner is None, the sites are empty and ``error`` is
+    the parse error's text, or an :data:`_INTERNAL_PREFIX` entry for
+    any other exception.  Serial scans, rehydration and the executor's
+    workers all go through here.
+    """
+    try:
+        unit = parse_source(
+            text, path, defines=defines,
+            include_resolver=lambda name, _system: headers.get(name),
+        )
+        registry = TypeRegistry()
+        registry.add_unit(unit)
+        scanner = BarrierScanner(
+            unit, registry=registry, limits=limits, filename=path
+        )
+        return scanner, scanner.scan(), None
+    except ParseError as exc:
+        return None, [], str(exc)
+    except Exception as exc:
+        return None, [], f"{_INTERNAL_PREFIX}{type(exc).__name__}: {exc}"
+
+
 def _failure_entry(path: str, recorded_error: str) -> FileFailure:
     if recorded_error.startswith(_INTERNAL_PREFIX):
         return FileFailure(
@@ -733,29 +764,14 @@ class OFenceEngine:
 
         return spec.codec.decode_finding(wire, check_list, site_at, use_at)
 
+    def _scan_file(self, path: str):
+        return scan_file(
+            self.source.files[path], path, self.options.config.defines(),
+            self.source.headers, self.options.limits,
+        )
+
     def _scan_single(self, path: str, key: str) -> None:
-        text = self.source.files[path]
-        scanner = error = None
-        sites: list[BarrierSite] = []
-        try:
-            unit = parse_source(
-                text,
-                path,
-                defines=self.options.config.defines(),
-                include_resolver=self.source.resolve_include,
-            )
-            registry = TypeRegistry()
-            registry.add_unit(unit)
-            fresh = BarrierScanner(
-                unit, registry=registry, limits=self.options.limits,
-                filename=path,
-            )
-            sites, scanner = fresh.scan(), fresh
-        except Exception as exc:
-            error = (
-                str(exc) if isinstance(exc, ParseError)
-                else f"{_INTERNAL_PREFIX}{type(exc).__name__}: {exc}"
-            )
+        scanner, sites, error = self._scan_file(path)
         self._file_cache[path] = FileAnalysis(
             filename=path, scanner=scanner, sites=sites,
             parse_error=error, key=key,
@@ -786,24 +802,10 @@ class OFenceEngine:
         fresh AST so identity-based lookups (``captured_variable``) keep
         working against the re-built CFGs.
         """
-        text = self.source.files.get(cached.filename)
-        if text is None:
+        if cached.filename not in self.source.files:
             return
-        try:
-            unit = parse_source(
-                text,
-                cached.filename,
-                defines=self.options.config.defines(),
-                include_resolver=self.source.resolve_include,
-            )
-            registry = TypeRegistry()
-            registry.add_unit(unit)
-            scanner = BarrierScanner(
-                unit, registry=registry, limits=self.options.limits,
-                filename=cached.filename,
-            )
-            fresh = scanner.scan()
-        except Exception:
+        scanner, fresh, _error = self._scan_file(cached.filename)
+        if scanner is None:
             return  # checkers degrade gracefully without this file's CFGs
         if len(fresh) == len(cached.sites):
             for old_site, new_site in zip(cached.sites, fresh):
@@ -828,7 +830,7 @@ class OFenceEngine:
 #
 # A run mode is a function ``(KernelSource, AnalysisOptions | None) ->
 # AnalysisResult`` that drives the whole pipeline with one execution
-# strategy (serial, parallel, disk-cached, incremental, ...).  The
+# strategy (serial, executor, disk-cached, incremental, ...).  The
 # registry makes the strategies enumerable, so the differential-testing
 # layer (``repro.fuzz``) can run any source tree through every mode and
 # diff the results; callers can register additional modes.
@@ -902,17 +904,6 @@ def _run_traced(
     )
     with start_trace("analyze", node="traced"):
         return OFenceEngine(source, opts).analyze()
-
-
-@register_run_mode("parallel")
-def _run_parallel(
-    source: KernelSource, options: AnalysisOptions | None = None
-) -> AnalysisResult:
-    workers = options.workers if options is not None else None
-    if workers is None or workers < 2:
-        workers = 2
-    opts = _mode_options(options, workers=workers, cache_dir=None)
-    return OFenceEngine(source, opts).analyze()
 
 
 @register_run_mode("executor")

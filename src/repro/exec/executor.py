@@ -19,9 +19,8 @@ Design points:
   ``spawn`` otherwise or via ``REPRO_EXEC_START_METHOD`` — never the
   platform default, so macOS/Linux behave identically and the daemon can
   run under ``spawn``.
-* **Lazy start, idle reaping.**  Workers spawn on first use; with
-  ``idle_timeout`` set, a background reaper terminates the pool after a
-  quiet period and the next call re-spawns it.
+* **Lazy start.**  Workers spawn on first use and live until
+  :meth:`AnalysisExecutor.close` (or their owner's exit).
 * **Crash recovery.**  A worker dying mid-batch is detected in the
   collect loop; the worker is respawned (fresh queue, fresh state) and
   its lost batches are re-dispatched.  Warm state is rebuilt on demand
@@ -74,9 +73,7 @@ class ExecutorClosed(RuntimeError):
     """
 
 
-def _start_method(explicit: str | None) -> str:
-    if explicit:
-        return explicit
+def _start_method() -> str:
     env = os.environ.get("REPRO_EXEC_START_METHOD")
     if env:
         return env
@@ -90,7 +87,6 @@ class ExecStats:
 
     spawned: int = 0
     respawns: int = 0
-    reaped: int = 0
     tasks_completed: int = 0
     batches_sent: int = 0
     worker_scan_hits: int = 0
@@ -100,7 +96,6 @@ class ExecStats:
         return {
             "spawned": self.spawned,
             "respawns": self.respawns,
-            "reaped": self.reaped,
             "tasks_completed": self.tasks_completed,
             "batches_sent": self.batches_sent,
             "worker_scan_hits": self.worker_scan_hits,
@@ -128,17 +123,9 @@ class _Worker:
 class AnalysisExecutor:
     """Persistent process pool shared by CLI, engine, and serve daemon."""
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str | None = None,
-        idle_timeout: float | None = None,
-        op_timeout: float = DEFAULT_OP_TIMEOUT,
-    ):
+    def __init__(self, workers: int = 2):
         self._size = max(1, int(workers))
-        self._mp = multiprocessing.get_context(_start_method(start_method))
-        self._idle_timeout = idle_timeout
-        self._op_timeout = op_timeout
+        self._mp = multiprocessing.get_context(_start_method())
         self._lock = threading.RLock()
         self._workers: list[_Worker] = []
         self._result_q = None
@@ -146,8 +133,6 @@ class AnalysisExecutor:
         self._wid_seq = itertools.count(1)
         self._closed = False
         self._shutdown = threading.Event()
-        self._last_activity = time.monotonic()
-        self._reaper: threading.Thread | None = None
         self.stats = ExecStats()
 
     # -- lifecycle ---------------------------------------------------------
@@ -175,11 +160,6 @@ class AnalysisExecutor:
             self._result_q = self._mp.Queue()
         while len(self._workers) < self._size:
             self._workers.append(self._spawn())
-        if self._idle_timeout is not None and self._reaper is None:
-            self._reaper = threading.Thread(
-                target=self._reap_loop, name="exec-reaper", daemon=True
-            )
-            self._reaper.start()
 
     def _spawn(self) -> _Worker:
         from repro.exec.worker import worker_main
@@ -208,23 +188,6 @@ class AnalysisExecutor:
             self._workers.append(replacement)
         self.stats.respawns += 1
         return replacement
-
-    def _reap_loop(self) -> None:
-        while True:
-            timeout = self._idle_timeout or 1.0
-            time.sleep(max(0.05, timeout / 4))
-            with self._lock:
-                if self._closed:
-                    return
-                if not self._workers:
-                    continue
-                if any(w.inflight for w in self._workers):
-                    continue
-                if time.monotonic() - self._last_activity < timeout:
-                    continue
-                count = len(self._workers)
-                self._shutdown_workers()
-                self.stats.reaped += count
 
     def _shutdown_workers(self) -> None:
         for worker in self._workers:
@@ -317,7 +280,6 @@ class AnalysisExecutor:
                 self._ensure_started()
             except Exception:
                 return None
-            self._last_activity = time.monotonic()
             results: list = [None] * len(tasks)
             pending: dict[int, int] = {}
             assigned: dict[int, _Worker] = {}
@@ -377,7 +339,7 @@ class AnalysisExecutor:
                         by_wid = {w.wid: w for w in self._workers}
                         last_progress = time.monotonic()
                         continue
-                    if time.monotonic() - last_progress > self._op_timeout:
+                    if time.monotonic() - last_progress > DEFAULT_OP_TIMEOUT:
                         self.stats.op_timeouts += 1
                         for worker in self._workers:
                             worker.inflight = 0
@@ -400,7 +362,6 @@ class AnalysisExecutor:
                         on_payload(i, payload)
                 else:
                     results[i] = ("error", payload)
-            self._last_activity = time.monotonic()
             return results
 
     # -- stage offloads ----------------------------------------------------

@@ -30,10 +30,9 @@ import traceback
 from collections import OrderedDict
 from contextlib import nullcontext
 
-from repro.analysis.barrier_scan import BarrierScanner, ScanLimits
+from repro.analysis.barrier_scan import ScanLimits
 from repro.core.cache import CachedScan
-from repro.cparse.parser import ParseError, parse_source
-from repro.cparse.typesys import TypeRegistry
+from repro.core.engine import scan_file
 from repro.exec.protocol import PAIR_NS_CAP
 from repro.trace.context import activate, span
 from repro.trace.model import Trace
@@ -81,36 +80,6 @@ def _apply_ctx(state: _WorkerState, msg) -> None:
     state.epoch = epoch
 
 
-def _parse_and_scan(state: _WorkerState, path: str, text: str):
-    """Parse + scan one file; raises on bad input (callers decide)."""
-    unit = parse_source(
-        text, path, defines=state.defines,
-        include_resolver=lambda name, sys_inc: state.headers.get(name),
-    )
-    registry = TypeRegistry()
-    registry.add_unit(unit)
-    scanner = BarrierScanner(
-        unit, registry=registry, limits=state.limits, filename=path
-    )
-    return scanner, scanner.scan()
-
-
-def _scan_file(state: _WorkerState, path: str, text: str) -> CachedScan:
-    """Never-raise per-file scan, mirroring the engine's serial path."""
-    from repro.core.engine import _INTERNAL_PREFIX
-
-    try:
-        _, sites = _parse_and_scan(state, path, text)
-        return CachedScan(filename=path, sites=sites)
-    except ParseError as exc:
-        return CachedScan(filename=path, sites=[], parse_error=str(exc))
-    except Exception as exc:
-        return CachedScan(
-            filename=path, sites=[],
-            parse_error=f"{_INTERNAL_PREFIX}{type(exc).__name__}: {exc}",
-        )
-
-
 def _handle_scan(state: _WorkerState, jobs: list[tuple[str, str, str]]):
     """jobs: [(path, text, key)] -> (payloads, warm hits)."""
     out: list[CachedScan] = []
@@ -121,7 +90,11 @@ def _handle_scan(state: _WorkerState, jobs: list[tuple[str, str, str]]):
             state.scan_cache.move_to_end((path, key))
             hits += 1
         else:
-            cached = _scan_file(state, path, text)
+            _scanner, sites, error = scan_file(
+                text, path, state.defines, state.headers, state.limits
+            )
+            cached = CachedScan(filename=path, sites=sites,
+                                parse_error=error)
             state.scan_cache[(path, key)] = cached
             while len(state.scan_cache) > SCAN_CACHE_CAP:
                 state.scan_cache.popitem(last=False)
@@ -180,7 +153,12 @@ def _materialize(state: _WorkerState, path: str, key: str, text: str):
         state.check_cache.move_to_end((path, key))
         state.check_hits += 1
         return entry
-    entry = _parse_and_scan(state, path, text)
+    scanner, sites, error = scan_file(
+        text, path, state.defines, state.headers, state.limits
+    )
+    if scanner is None:
+        raise RuntimeError(f"cannot re-scan {path}: {error}")
+    entry = scanner, sites
     state.check_cache[(path, key)] = entry
     while len(state.check_cache) > CHECK_CACHE_CAP:
         state.check_cache.popitem(last=False)

@@ -1,11 +1,12 @@
 """Differential oracle: every run mode must agree with serial.
 
-The performance layer (PR 1) added parallel scanning, an on-disk scan
-cache, and incremental re-analysis; all of them must be invisible in
-the output.  ``check_differential`` runs one source tree through every
-registered run mode and diffs a full observable signature — sites,
-pairings, findings (with line numbers: the input is byte-identical
-across modes), patches, failure entries, and checker failures.
+The executor's worker pool, the on-disk scan cache, incremental
+re-analysis, the daemon, tracing and the findings store must all be
+invisible in the output.  ``check_differential`` runs one source tree
+through every registered run mode and diffs a full observable
+signature — sites, pairings, findings (with line numbers: the input
+is byte-identical across modes), patches, failure entries, and checker
+failures.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from repro.core.engine import (
 # twice and asserts the store's own diff sees no drift, so the
 # fingerprint/record/diff round-trip is under the oracle too.
 DEFAULT_MODES: tuple[str, ...] = (
-    "serial", "parallel", "cached", "incremental", "serve", "executor",
-    "traced", "store",
+    "serial", "cached", "incremental", "serve", "executor", "traced",
+    "store",
 )
 
 

@@ -6,8 +6,8 @@ that amortizes parsing across submissions:
 * :mod:`repro.serve.pool` — warm :class:`~repro.core.engine.OFenceEngine`
   instances keyed by source-tree content hash, LRU-bounded, one lock per
   engine;
-* :mod:`repro.serve.queue` — bounded job queue with same-tree
-  micro-batching, 503 backpressure, and graceful drain;
+* :mod:`repro.serve.queue` — bounded job queue running one job per
+  tree at a time, 503 backpressure, and graceful drain;
 * :mod:`repro.serve.metrics` — request latencies (p50/p95/p99), stage
   timings, cache stats; JSON and Prometheus text rendering;
 * :mod:`repro.serve.server` — the JSON-over-HTTP daemon

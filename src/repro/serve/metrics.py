@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per server aggregates:
 
 * request latencies per endpoint (sliding window; p50/p95/p99),
-* job counters (completed/failed/batched, per kind),
+* job counters (completed/failed, per kind),
 * engine-stage timings and counters, merged from every job's
   :class:`~repro.core.profile.StageProfile` (the run's aggregate of
   its ``engine.*`` spans),

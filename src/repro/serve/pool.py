@@ -5,15 +5,14 @@ kept warm across requests so repeated submissions of the same tree hit
 the in-memory scan cache and the incremental pairing index instead of
 re-parsing the world.  Capacity-bounded with LRU eviction; every engine
 carries its own lock so two requests for *different* trees analyze
-concurrently while requests for the *same* tree take turns (the engine's
-internal lock would serialize them anyway — the pool lock additionally
-keeps batches atomic).
+concurrently while requests for the *same* tree take turns (the job
+queue already runs one job per tree at a time; the lock also covers
+callers that use the pool directly).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,8 +46,6 @@ class PooledEngine:
     key: str
     engine: OFenceEngine
     lock: threading.RLock = field(default_factory=threading.RLock)
-    created_at: float = field(default_factory=time.monotonic)
-    last_used: float = field(default_factory=time.monotonic)
     uses: int = 0
 
 
@@ -134,7 +131,6 @@ class EnginePool:
                     self.stats.evictions += 1
         with entry.lock:
             entry.uses += 1
-            entry.last_used = time.monotonic()
             if source is not None:
                 self._reconcile(entry, source, options)
             yield entry.engine

@@ -1,13 +1,11 @@
-"""Bounded job queue with micro-batching, backpressure, and drain.
+"""Bounded job queue with per-tree ordering, backpressure, and drain.
 
 Submissions become :class:`Job` records in a bounded FIFO.  Worker
-threads (owned by the service) pull *batches*: the head job plus any
-queued ``reanalyze`` jobs for the same tree, so a burst of delta
-submissions against one warm engine is coalesced into a single
-pool-acquisition — one lock round-trip, maximal reuse of the incremental
-pairing index, FIFO order preserved within the batch.  Coalescing only
-reaches past jobs for *other* trees, so same-tree submission order is
-preserved across batches as well.
+threads owned by the service pull one job at a time: the oldest queued
+job whose tree has no job running.  Jobs for different trees run
+concurrently; jobs for one tree run one at a time, in submission order,
+so a delta submitted after an analyze of its tree always sees that
+analyze's result.
 
 When the queue is full, :meth:`JobQueue.submit` raises
 :class:`QueueFull`; the HTTP layer translates it into ``503`` with a
@@ -67,8 +65,6 @@ class Job:
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None
-    #: How many jobs travelled in the same batch (observability).
-    batch_size: int = 0
     #: Trace recording this job's spans (``repro.trace.model.Trace``),
     #: set at submission when the request carried ``X-Repro-Trace``.
     trace: Any | None = field(default=None, repr=False, compare=False)
@@ -114,24 +110,23 @@ class Job:
             "tree_key": self.tree_key,
             "status": self.status,
             "error": self.error,
-            "batch_size": self.batch_size,
             "queue_seconds": self.queue_seconds,
             "run_seconds": self.run_seconds,
         }
 
 
 class JobQueue:
-    """Bounded FIFO of :class:`Job` with same-tree micro-batching."""
+    """Bounded FIFO of :class:`Job`, at most one running job per tree."""
 
-    def __init__(self, capacity: int = 32, batch_limit: int = 8):
+    def __init__(self, capacity: int = 32):
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
-        self.batch_limit = max(1, batch_limit)
         self.rejected = 0
         self._pending: deque[Job] = deque()
         self._cond = threading.Condition()
-        self._in_flight = 0
+        #: Tree keys of the jobs handed out and not yet ``done``.
+        self._running: set[str] = set()
         self._accepting = True
         self._stopped = False
 
@@ -155,48 +150,27 @@ class JobQueue:
 
     # -- consumer side -----------------------------------------------------
 
-    def next_batch(self) -> list[Job] | None:
-        """Block for work; None when the queue is stopped and empty.
+    def next_job(self) -> Job | None:
+        """Block for the oldest queued job whose tree has no job running.
 
-        The batch is the head job plus queued reanalyze jobs targeting
-        the same tree (original order preserved, capped by
-        ``batch_limit``) — those will run back-to-back on one warm
-        engine.  Coalescing only skips over jobs for *other* trees: the
-        first queued job for the head's tree that is not a coalescible
-        reanalyze (an analyze resetting that tree, say) is an ordering
-        barrier — deltas submitted after it must not run before it, so
-        collection stops there.  Full-analyze jobs always batch alone:
-        they (re)build an engine and dominate the batch anyway.
+        Returns None once the queue is stopped and empty.  The caller
+        must hand the job back through :meth:`done`, which frees its
+        tree for the next job.
         """
         with self._cond:
-            while not self._pending:
-                if self._stopped:
+            while True:
+                for index, job in enumerate(self._pending):
+                    if job.tree_key not in self._running:
+                        del self._pending[index]
+                        self._running.add(job.tree_key)
+                        return job
+                if self._stopped and not self._pending:
                     return None
-                self._cond.wait(timeout=0.5)
-            head = self._pending.popleft()
-            batch = [head]
-            if head.kind == "reanalyze":
-                rest: deque[Job] = deque()
-                while self._pending and len(batch) < self.batch_limit:
-                    job = self._pending.popleft()
-                    if (
-                        job.kind == "reanalyze"
-                        and job.tree_key == head.tree_key
-                    ):
-                        batch.append(job)
-                        continue
-                    rest.append(job)
-                    if job.tree_key == head.tree_key:
-                        break  # same-tree barrier: stop coalescing
-                self._pending.extendleft(reversed(rest))
-            self._in_flight += len(batch)
-            for job in batch:
-                job.batch_size = len(batch)
-            return batch
+                self._cond.wait()
 
-    def done(self, count: int = 1) -> None:
+    def done(self, job: Job) -> None:
         with self._cond:
-            self._in_flight -= count
+            self._running.discard(job.tree_key)
             self._cond.notify_all()
 
     # -- state -------------------------------------------------------------
@@ -209,7 +183,7 @@ class JobQueue:
     @property
     def in_flight(self) -> int:
         with self._cond:
-            return self._in_flight
+            return len(self._running)
 
     @property
     def accepting(self) -> bool:
@@ -220,9 +194,8 @@ class JobQueue:
         with self._cond:
             return {
                 "depth": len(self._pending),
-                "in_flight": self._in_flight,
+                "in_flight": len(self._running),
                 "capacity": self.capacity,
-                "batch_limit": self.batch_limit,
                 "accepting": self._accepting,
                 "rejected_total": self.rejected,
             }
@@ -237,13 +210,13 @@ class JobQueue:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._accepting = False
-            while self._pending or self._in_flight:
+            while self._pending or self._running:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
-                self._cond.wait(timeout=remaining if remaining else 0.5)
+                self._cond.wait(remaining)
             return True
 
     def stop(self) -> None:

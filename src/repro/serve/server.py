@@ -79,7 +79,6 @@ class AnalysisService:
         options: AnalysisOptions | None = None,
         pool_capacity: int = 4,
         queue_capacity: int = 32,
-        batch_limit: int = 8,
         workers: int = 1,
         exec_workers: int | None = None,
         on_job_start: Callable[[Job], None] | None = None,
@@ -115,8 +114,7 @@ class AnalysisService:
         #: overwrites it with ``host:port`` once the listener is bound.
         self.node_label = "local"
         self.pool = EnginePool(capacity=pool_capacity)
-        self.queue = JobQueue(capacity=queue_capacity,
-                              batch_limit=batch_limit)
+        self.queue = JobQueue(capacity=queue_capacity)
         self.metrics = MetricsRegistry()
         self.jobs: dict[str, Job] = {}
         self._job_order: list[str] = []
@@ -229,19 +227,13 @@ class AnalysisService:
 
     def _worker_loop(self) -> None:
         while True:
-            batch = self.queue.next_batch()
-            if batch is None:
+            job = self.queue.next_job()
+            if job is None:
                 return
             try:
-                if len(batch) > 1:
-                    self.metrics.increment("jobs.batched", len(batch))
-                if batch[0].kind == "analyze":
-                    for job in batch:
-                        self._run_analyze(job)
-                else:
-                    self._run_reanalyze_batch(batch)
+                self._run(job)
             finally:
-                self.queue.done(len(batch))
+                self.queue.done(job)
 
     @contextmanager
     def _job_ctx(self, job: Job):
@@ -258,62 +250,50 @@ class AnalysisService:
             with span("job", kind=job.kind, job_id=job.job_id):
                 yield
 
-    def _run_analyze(self, job: Job) -> None:
+    @contextmanager
+    def _engine(self, job: Job):
+        """The job's warm engine, its lock held.
+
+        An analyze builds or reconciles the engine for its tree; a
+        reanalyze needs the warm engine its deltas were submitted
+        against, and fails if the pool evicted it in the meantime.
+        """
+        if job.kind == "analyze":
+            with self.pool.acquire(
+                job.tree_key, source=job.source, options=job.options
+            ) as engine:
+                yield engine
+            return
+        entry = self.pool.get(job.tree_key)
+        if entry is None:
+            raise LookupError("warm engine evicted before the job ran; "
+                              "submit /v1/analyze again")
+        with entry.lock:
+            entry.uses += 1
+            yield entry.engine
+
+    def _run(self, job: Job) -> None:
         job.mark_running()
         if self._on_job_start is not None:
             self._on_job_start(job)
         try:
-            with self._job_ctx(job):
-                with self.pool.acquire(
-                    job.tree_key, source=job.source, options=job.options
-                ) as engine:
+            with self._job_ctx(job), self._engine(job) as engine:
+                if job.kind == "analyze":
                     result = engine.analyze()
-                    self._absorb(engine, job, result)
+                else:
+                    for path, text in job.deltas:  # validated non-empty
+                        result = engine.reanalyze_file(path, text)
+                self._absorb(engine, job, result)
         except Exception as exc:
             # The engine never raises for analysis errors, but shutdown
             # does: an ExecutorClosed racing a drain lands here and the
             # job fails loudly instead of silently re-running serially.
             job.mark_failed(f"{type(exc).__name__}: {exc}")
-            self.metrics.observe_job("analyze", job.run_seconds or 0.0,
+            self.metrics.observe_job(job.kind, job.run_seconds or 0.0,
                                      ok=False)
         finally:
             if job.trace is not None:
                 self.metrics.observe_trace(job.trace)
-
-    def _run_reanalyze_batch(self, batch: list[Job]) -> None:
-        entry = self.pool.get(batch[0].tree_key)
-        if entry is None:
-            # Evicted between submission and execution: the client must
-            # re-submit the full tree.
-            for job in batch:
-                job.mark_running()
-                job.mark_failed(
-                    "warm engine evicted before the job ran; "
-                    "submit /v1/analyze again"
-                )
-                self.metrics.observe_job("reanalyze", 0.0, ok=False)
-            return
-        with entry.lock:
-            entry.uses += len(batch)
-            for job in batch:
-                job.mark_running()
-                if self._on_job_start is not None:
-                    self._on_job_start(job)
-                try:
-                    with self._job_ctx(job):
-                        result = None
-                        for path, text in job.deltas:
-                            result = entry.engine.reanalyze_file(path, text)
-                        assert result is not None  # validated non-empty
-                        self._absorb(entry.engine, job, result)
-                except Exception as exc:
-                    job.mark_failed(f"{type(exc).__name__}: {exc}")
-                    self.metrics.observe_job(
-                        "reanalyze", job.run_seconds or 0.0, ok=False
-                    )
-                finally:
-                    if job.trace is not None:
-                        self.metrics.observe_trace(job.trace)
 
     def _absorb(self, engine: OFenceEngine, job: Job, result) -> None:
         self.metrics.merge_profile(result.profile)

@@ -155,7 +155,7 @@ class TestFuzzCommands:
     def test_fuzz_mode_subset(self, tmp_path, capsys):
         code = main([
             "fuzz", "--iterations", "2", "--seed", "1",
-            "--modes", "parallel", "--no-reduce",
+            "--modes", "executor", "--no-reduce",
             "--artifacts", str(tmp_path / "artifacts"),
         ])
         assert code == 0

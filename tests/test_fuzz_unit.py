@@ -65,7 +65,7 @@ class TestGenerator:
 
 class TestRunModes:
     def test_registry_contents(self):
-        assert {"serial", "parallel", "cached", "incremental"} <= \
+        assert {"serial", "executor", "cached", "incremental"} <= \
             set(run_mode_names())
 
     def test_unknown_mode_raises(self):
@@ -74,7 +74,7 @@ class TestRunModes:
 
     def test_modes_accept_options(self):
         case = generate_case(5)
-        result = run_in_mode("parallel", case.source,
+        result = run_in_mode("executor", case.source,
                              AnalysisOptions(annotate=False))
         assert result.report.annotation_findings == []
 

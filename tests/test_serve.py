@@ -216,53 +216,71 @@ class TestJobQueue:
         jobs = [_job(key=f"k{i}") for i in range(3)]
         for job in jobs:
             queue.submit(job)
-        pulled = [queue.next_batch()[0] for _ in range(3)]
+        pulled = [queue.next_job() for _ in range(3)]
         assert [j.job_id for j in pulled] == [j.job_id for j in jobs]
 
-    def test_same_tree_reanalyze_batched(self):
-        queue = JobQueue(capacity=8, batch_limit=8)
-        first = _job(key="same")
-        middle = _job(key="other")
-        also_same = _job(key="same")
-        for job in (first, middle, also_same):
-            queue.submit(job)
-        batch = queue.next_batch()
-        assert [j.tree_key for j in batch] == ["same", "same"]
-        assert all(j.batch_size == 2 for j in batch)
-        # The interleaved job kept its place for the next pull.
-        assert queue.next_batch()[0] is middle
-
-    def test_same_tree_barrier_stops_coalescing(self):
-        """Coalescing must not pull deltas past a same-tree analyze.
-
-        Deltas queued *behind* an analyze of the same tree would
-        otherwise run before it, diverging the warm engine's state from
-        submission order.  Other trees' jobs are still skipped over.
-        """
-        queue = JobQueue(capacity=8, batch_limit=8)
-        first = _job(key="same")
-        other = _job(key="other")
-        barrier = _job(kind="analyze", key="same")
-        later = _job(key="same")
-        for job in (first, other, barrier, later):
-            queue.submit(job)
-        pulled = [queue.next_batch() for _ in range(4)]
-        # Original order preserved past the stopped collection.
-        assert [batch[0] for batch in pulled] == \
-            [first, other, barrier, later]
-        assert all(len(batch) == 1 for batch in pulled)
-
-    def test_analyze_jobs_never_batch(self):
+    def test_one_running_job_per_tree(self):
+        """A tree's next job waits until its running job is done;
+        other trees' jobs go past it."""
         queue = JobQueue(capacity=8)
-        queue.submit(_job(kind="analyze", key="same"))
-        queue.submit(_job(kind="analyze", key="same"))
-        assert len(queue.next_batch()) == 1
+        t1, t2, u = _job(key="T"), _job(key="T"), _job(key="U")
+        for job in (t1, t2, u):
+            queue.submit(job)
+        assert queue.next_job() is t1
+        assert queue.next_job() is u
+        assert queue.in_flight == 2
+        # Another tree finishing does not free T: a job queued after
+        # T2 is handed out first.
+        queue.done(u)
+        v = queue.submit(_job(key="V"))
+        assert queue.next_job() is v
+        queue.done(t1)
+        assert queue.next_job() is t2
+        queue.done(v)
+        queue.done(t2)
+        assert queue.in_flight == 0 and queue.depth == 0
 
-    def test_batch_limit_caps_coalescing(self):
-        queue = JobQueue(capacity=16, batch_limit=2)
-        for _ in range(4):
-            queue.submit(_job(key="same"))
-        assert len(queue.next_batch()) == 2
+    def test_per_tree_order_under_contention(self):
+        """Six threads over three trees: no tree ever has two jobs
+        running, and each tree's jobs run in submission order."""
+        import sys
+
+        queue = JobQueue(capacity=256)
+        jobs = [_job(key=f"t{i % 3}") for i in range(240)]
+        lock = threading.Lock()
+        running: dict[str, int] = {}
+        overlaps: list[str] = []
+        ran: dict[str, list[str]] = {}
+
+        def worker():
+            while (job := queue.next_job()) is not None:
+                with lock:
+                    running[job.tree_key] = running.get(job.tree_key, 0) + 1
+                    if running[job.tree_key] > 1:
+                        overlaps.append(job.job_id)
+                    ran.setdefault(job.tree_key, []).append(job.job_id)
+                with lock:
+                    running[job.tree_key] -= 1
+                queue.done(job)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for job in jobs:
+                queue.submit(job)
+            assert queue.drain(timeout=30)
+            queue.stop()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlaps == []
+        for key in ("t0", "t1", "t2"):
+            assert ran[key] == [j.job_id for j in jobs if j.tree_key == key]
 
     def test_full_queue_raises(self):
         queue = JobQueue(capacity=2)
@@ -276,7 +294,7 @@ class TestJobQueue:
     def test_drain_waits_for_in_flight(self):
         queue = JobQueue(capacity=4)
         queue.submit(_job())
-        batch = queue.next_batch()
+        job = queue.next_job()
         done = []
 
         def drain():
@@ -286,7 +304,7 @@ class TestJobQueue:
         thread.start()
         time.sleep(0.05)
         assert thread.is_alive(), "drain returned with a job in flight"
-        queue.done(len(batch))
+        queue.done(job)
         thread.join(timeout=10)
         assert done == [True]
         with pytest.raises(Exception):
@@ -297,7 +315,7 @@ class TestJobQueue:
         results = []
 
         def worker():
-            results.append(queue.next_batch())
+            results.append(queue.next_job())
 
         thread = threading.Thread(target=worker)
         thread.start()
@@ -325,10 +343,10 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.observe_request("analyze", 0.25, 200)
         registry.observe_job("analyze", 0.2, ok=True)
-        registry.increment("jobs.batched", 3)
+        registry.increment("jobs.rejected", 3)
         snap = registry.snapshot(queue={"depth": 1}, pool={"size": 2})
         assert snap["requests"]["analyze"]["count"] == 1
-        assert snap["counters"]["jobs.batched"] == 3
+        assert snap["counters"]["jobs.rejected"] == 3
         assert snap["queue"]["depth"] == 1
         text = registry.render_prometheus(queue={"depth": 1},
                                           pool={"size": 2})
@@ -662,59 +680,65 @@ class TestClientRetry:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batching through the service
+# Per-tree job order through the service
 # ---------------------------------------------------------------------------
 
 
-class TestServiceBatching:
-    def test_burst_of_deltas_is_coalesced(self):
-        release = threading.Event()
+class TestServiceOrdering:
+    def test_delta_waits_for_the_running_analyze_of_its_tree(self):
+        """With two job threads, a delta for tree T submitted while an
+        analyze of T runs must wait for it; a delta for another tree
+        runs meanwhile.  Run early, the delta's text would be undone by
+        the analyze reconciling T's engine back to the submitted tree.
+        """
+        armed = threading.Event()
         started = threading.Event()
+        release = threading.Event()
 
         def gate(job):
-            # Block only the first (analyze) job so deltas can pile up.
-            if job.kind == "analyze" and not started.is_set():
+            if job.kind == "analyze" and armed.is_set():
+                armed.clear()
                 started.set()
                 release.wait(timeout=60)
 
-        server = AnalysisServer(queue_capacity=16, batch_limit=8,
-                                on_job_start=gate).start()
+        tree_u = small_source()
+        tree_u.files["extra.c"] = WRITER.replace("struct s", "struct t")
+        service = AnalysisService(workers=2, on_job_start=gate)
         try:
-            client = ServeClient(server.url, timeout=60)
-            # Warm an engine first (blocked inside the worker).
-            warm = client.analyze(small_source(), wait=False)
-            assert started.wait(timeout=30)
-            release.set()
-            final = client.job(warm["job_id"], wait=True, timeout=60)
-            key = final["tree_key"]
+            payloads = {
+                name: {"source": encode_source(tree)}
+                for name, tree in (("T", small_source()), ("U", tree_u))
+            }
+            keys = {}
+            for name, payload in payloads.items():
+                warm = service.submit_analyze(payload)
+                assert warm.wait(60) and warm.status == "done"
+                keys[name] = warm.tree_key
 
-            # Pause the worker again via a second analyze of a new tree,
-            # then queue several deltas for the warm tree.
-            other = small_source()
-            other.files["extra.c"] = WRITER.replace("struct s", "struct t")
-            blocker_release = threading.Event()
-            server.service._on_job_start = \
-                lambda job: (job.kind == "analyze"
-                             and blocker_release.wait(timeout=60))
-            blocker = client.analyze(other, wait=False)
-            deltas = [
-                client.reanalyze(
-                    key, [("r.c", READER + f"\n/* v{i} */\n")], wait=False
-                )
-                for i in range(3)
-            ]
-            blocker_release.set()
-            finals = [client.job(d["job_id"], wait=True, timeout=60)
-                      for d in deltas]
-            assert all(f["status"] == "done" for f in finals)
-            assert finals[-1]["batch_size"] >= 2, \
-                "queued same-tree deltas should coalesce into one batch"
-            client.job(blocker["job_id"], wait=True, timeout=60)
-            metrics = client.metrics()
-            assert metrics["counters"].get("jobs.batched", 0) >= 2
+            armed.set()
+            analyze_t = service.submit_analyze(payloads["T"])
+            assert started.wait(timeout=30)
+            edited = READER + "\n/* edited */\n"
+            delta_t = service.submit_reanalyze({
+                "tree_key": keys["T"],
+                "deltas": [{"path": "r.c", "text": edited}],
+            })
+            delta_u = service.submit_reanalyze({
+                "tree_key": keys["U"],
+                "deltas": [{"path": "r.c", "text": edited}],
+            })
+            assert delta_u.wait(60) and delta_u.status == "done"
+            assert delta_t.status == "queued"
+
+            release.set()
+            assert delta_t.wait(60) and delta_t.status == "done"
+            assert analyze_t.status == "done"
+            assert delta_t.started_at >= analyze_t.finished_at
+            engine = service.pool.get(keys["T"]).engine
+            assert engine.source.files["r.c"] == edited
         finally:
             release.set()
-            server.stop()
+            service.close()
 
 
 # ---------------------------------------------------------------------------
