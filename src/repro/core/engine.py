@@ -15,10 +15,12 @@ The pipeline is incremental end to end:
   (text, defines, transitively resolved headers, windows); ``analyze()``
   re-scans only files whose key changed, and an optional on-disk cache
   (``AnalysisOptions.cache_dir``) survives across processes;
-* worker processes return slim :class:`repro.core.cache.CachedScan`
-  payloads (sites only — no scanner/AST/CFG), and the parent lazily
-  re-materializes a file's CFGs only when a checker or patcher asks for
-  them via ``_cfg_lookup``;
+* every scan result, serial, from an executor worker or from the disk
+  cache, is the same sites-only entry (a
+  :class:`repro.core.cache.CachedScan` payload): no file's AST or CFGs
+  outlive its scan.  ``scanner`` is None for every scan result until a
+  checker or patcher asks for the file's CFGs, and ``_cfg_lookup`` then
+  re-parses that one file;
 * the global pairing stage keeps one :class:`PairingIndex` alive across
   runs and feeds it file-level deltas, so ``reanalyze_file`` — the
   paper's "updating the analysis after modifying a single file takes
@@ -253,9 +255,10 @@ class AnalysisOptions:
 class FileAnalysis:
     """Per-file artifacts cached for incremental re-analysis.
 
-    ``scanner`` is ``None`` for results that came back from a worker
-    process or the on-disk cache; the engine re-materializes it lazily
-    the first time a checker or patcher needs this file's CFGs.
+    ``scanner`` is ``None`` for every scan result until a checker or
+    patcher asks: serial, worker and disk-cache scans keep sites only,
+    and the engine re-materializes the scanner (AST + CFGs) the first
+    time a checker or patcher needs this file's CFGs.
 
     An entry is valid while ``key`` matches the file's current scan key;
     a re-scan replaces it, and a file leaving the selection drops it, so
@@ -523,10 +526,7 @@ class OFenceEngine:
                 continue
             payload = self._disk_cache.load(key)
             if payload is not None:
-                self._file_cache[path] = FileAnalysis(
-                    filename=path, scanner=None, sites=payload.sites,
-                    parse_error=payload.parse_error, key=key,
-                )
+                self._absorb(path, key, payload)
                 disk_hits += 1
                 continue
             pending.append((path, key))
@@ -594,11 +594,7 @@ class OFenceEngine:
         done: set[str] = set()
 
         def absorb(payload: CachedScan, key: str) -> None:
-            self._file_cache[payload.filename] = FileAnalysis(
-                filename=payload.filename, scanner=None,
-                sites=payload.sites, parse_error=payload.parse_error,
-                key=key,
-            )
+            self._absorb(payload.filename, key, payload)
             self._disk_cache.store(key, payload)
             done.add(payload.filename)
 
@@ -771,13 +767,21 @@ class OFenceEngine:
         )
 
     def _scan_single(self, path: str, key: str) -> None:
-        scanner, sites, error = self._scan_file(path)
+        _scanner, sites, error = self._scan_file(path)
+        payload = CachedScan(filename=path, sites=sites, parse_error=error)
+        self._absorb(path, key, payload)
+        self._disk_cache.store(key, payload)
+
+    def _absorb(self, path: str, key: str, payload: CachedScan) -> None:
+        """Make ``payload`` the entry of ``path``, sites only.
+
+        Serial, executor and disk-cache scans all land here, so no
+        entry keeps the AST and CFGs of its scan; ``_cfg_lookup``
+        rebuilds them for the few files a checker or patcher asks for.
+        """
         self._file_cache[path] = FileAnalysis(
-            filename=path, scanner=scanner, sites=sites,
-            parse_error=error, key=key,
-        )
-        self._disk_cache.store(
-            key, CachedScan(filename=path, sites=sites, parse_error=error)
+            filename=path, scanner=None, sites=payload.sites,
+            parse_error=payload.parse_error, key=key,
         )
 
     # -- lookups -------------------------------------------------------------------------
@@ -794,9 +798,9 @@ class OFenceEngine:
         return scan.cfg if scan is not None else None
 
     def _rehydrate(self, cached: FileAnalysis) -> None:
-        """Re-materialize a file's scanner (AST + CFGs) in the parent.
+        """Re-materialize a file's scanner (AST + CFGs).
 
-        Worker/disk-cache results carry sites only.  Scanning is fully
+        Every scan result carries sites only.  Scanning is fully
         deterministic, so the fresh scan mirrors the cached sites
         one-to-one; the cached sites' access records are re-bound to the
         fresh AST so identity-based lookups (``captured_variable``) keep

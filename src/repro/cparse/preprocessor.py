@@ -60,12 +60,33 @@ def _is_macro_name(tok: Token, macros: dict[str, Macro]) -> bool:
                                                 TokenKind.KEYWORD)
 
 
-#: Replacement lists by ``(text, filename)``: every file of a run starts
-#: from the same config defines, and a header's ``#define``s recur in
-#: each file that includes it.  The lists are shared, so no code may
-#: mutate a ``Token``.
-_BODIES: dict[tuple[str, str], list[Token]] = {}
+#: Token lists by ``(text, filename)``, without the EOF: ``(stream,
+#: body)``, where the body drops the stream's directives (it is the same
+#: list when there are none).  Every file of a run starts from the same
+#: config defines, and a header, like its ``#define``s, recurs in each
+#: file that includes it.  The lists are shared, so no code may mutate
+#: one or a ``Token``.
+_BODIES: dict[tuple[str, str], tuple[list[Token], list[Token]]] = {}
 _BODIES_MAX = 4096
+
+
+def _lexed(text: str, filename: str, counter: str):
+    """The memoized ``(stream, body)`` of ``text``, counted as
+    ``<counter>.hits``/``<counter>.misses``."""
+    key = (text, filename)
+    entry = _BODIES.get(key)
+    if entry is not None:
+        count(counter + ".hits")
+        return entry
+    count(counter + ".misses")
+    if len(_BODIES) >= _BODIES_MAX:
+        _BODIES.clear()
+    stream = tokenize(text, filename)[:-1]
+    body = [t for t in stream if t.kind is not TokenKind.DIRECTIVE]
+    entry = _BODIES[key] = (
+        stream, body if len(body) < len(stream) else stream
+    )
+    return entry
 
 
 def _body_tokens(text: str, filename: str) -> list[Token]:
@@ -74,17 +95,7 @@ def _body_tokens(text: str, filename: str) -> list[Token]:
     A body that starts with ``#`` lexes as one directive token; it is
     dropped, so no expansion puts a directive in the output.
     """
-    key = (text, filename)
-    body = _BODIES.get(key)
-    if body is not None:
-        count("define.hits")
-        return body
-    count("define.misses")
-    if len(_BODIES) >= _BODIES_MAX:
-        _BODIES.clear()
-    body = _BODIES[key] = [t for t in tokenize(text, filename)[:-1]
-                           if t.kind is not TokenKind.DIRECTIVE]
-    return body
+    return _lexed(text, filename, "define")[1]
 
 
 @dataclass
@@ -273,8 +284,8 @@ class Preprocessor:
         if source is None:
             return
         self._included.add(name)
-        sub = tokenize(source, name)
-        out.extend(self._process(sub[:-1], depth + 1))
+        out.extend(self._process(_lexed(source, name, "header")[0],
+                                 depth + 1))
 
     # -- #if condition evaluation -------------------------------------------
 

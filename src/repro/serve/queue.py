@@ -210,6 +210,7 @@ class JobQueue:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._accepting = False
+            self._cond.notify_all()
             while self._pending or self._running:
                 remaining = None
                 if deadline is not None:

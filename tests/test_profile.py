@@ -133,7 +133,8 @@ class TestMemoCounters:
 
 
 class TestDefineMemo:
-    """The define memo outlives engines, so each test starts it empty."""
+    """The lex memo of macro bodies and headers outlives engines, so
+    each test starts it empty."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
@@ -150,13 +151,31 @@ class TestDefineMemo:
         assert counters["define.misses"] == 2
         assert counters["define.hits"] == 2 * len(defines)
 
+    def test_header_edit_misses_and_unchanged_header_hits(self):
+        text = '#include "m.h"\n#include "n.h"\n' + \
+            TestEngineProfile.SRC["w.c"]
+        source = KernelSource(
+            files={"a.c": text, "b.c": text},
+            headers={"m.h": "#define WIDTH 32\n", "n.h": "int n;\n"},
+        )
+        engine = OFenceEngine(source)
+        counters = engine.analyze().profile.counters
+        # a.c lexes each header once; b.c lexes neither.
+        assert (counters["header.misses"], counters["header.hits"]) == (2, 2)
+        source.headers["m.h"] = "#define WIDTH 64\n"
+        counters = engine.analyze().profile.counters
+        # Both files re-scan: the edited m.h misses once, n.h hits twice.
+        assert counters["scan.scanned"] == 2
+        assert (counters["header.misses"], counters["header.hits"]) == (1, 3)
+
     def test_profile_lists_its_pair_once(self, corpus, tmp_path, capsys):
         from repro.cli import main
 
         corpus.source.write_to(tmp_path)
         assert main(["analyze", str(tmp_path), "--profile"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        for name in ("define.hits", "define.misses"):
+        for name in ("define.hits", "define.misses",
+                     "header.hits", "header.misses"):
             assert sum(line.split()[:1] == [name] for line in lines) == 1
 
 

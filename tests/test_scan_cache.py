@@ -367,6 +367,66 @@ class TestEngineCacheIntegration:
         assert warm.profile.counters["scan.scanned"] == len(includers) > 0
 
 
+class TestSitesOnlyScanResults:
+    """No scan result keeps its AST or CFGs; ``_cfg_lookup`` re-parses."""
+
+    @staticmethod
+    def watched(source: KernelSource) -> tuple[OFenceEngine, set[str]]:
+        """A serial engine recording the files ``_cfg_lookup`` is asked
+        for (the checkers and patchers look it up on the instance)."""
+        engine = OFenceEngine(source)
+        asked: set[str] = set()
+        lookup = engine._cfg_lookup
+
+        def recorded(filename, function):
+            asked.add(filename)
+            return lookup(filename, function)
+
+        engine._cfg_lookup = recorded
+        return engine, asked
+
+    def test_serial_scan_keeps_scanners_only_for_files_asked_for(self):
+        corpus = generate_corpus(CorpusSpec.small(), seed=7)
+        engine, asked = self.watched(corpus.source)
+        result = engine.analyze()
+        parsed = {
+            path for path in asked
+            if engine.file_analysis(path).parse_error is None
+        }
+        kept = {
+            path for path in engine.selected_files()[0]
+            if engine.file_analysis(path).scanner is not None
+        }
+        assert parsed and kept == parsed
+        assert result.profile.counters["check.rehydrated_files"] == \
+            len(parsed)
+
+    def test_edit_of_a_reread_file_rescans_then_rehydrates(self):
+        from repro.checkers.model import DeviationKind
+
+        corpus = generate_corpus(CorpusSpec.small(), seed=7)
+        engine, asked = self.watched(dataclasses.replace(
+            corpus.source, files=dict(corpus.source.files)
+        ))
+        first = engine.analyze()
+        path = next(
+            f.filename for f in first.report.all_findings
+            if f.kind is DeviationKind.REPEATED_READ
+        )
+        asked.clear()
+        edited = engine.source.files[path] + "\n/* edited */\n"
+        result = engine.reanalyze_file(path, edited)
+        counters = result.profile.counters
+        assert counters["scan.scanned"] == 1
+        assert counters["check.rehydrated_files"] == 1
+        assert path in asked
+        assert engine.file_analysis(path).scanner is not None
+        fresh = OFenceEngine(dataclasses.replace(
+            corpus.source, files={**corpus.source.files, path: edited}
+        )).analyze()
+        assert run_signature(result) == run_signature(fresh)
+
+
 def _prefilter(source: KernelSource) -> tuple[list[str], dict[str, int]]:
     profile = StageProfile()
     with recording(profile):

@@ -56,6 +56,12 @@ def small_source() -> KernelSource:
     return KernelSource(files={"w.c": WRITER, "r.c": READER})
 
 
+def _wait_until_draining(queue: JobQueue) -> None:
+    """Block on the queue's condition until a drain has begun."""
+    with queue._cond:
+        assert queue._cond.wait_for(lambda: not queue.accepting, timeout=30)
+
+
 # ---------------------------------------------------------------------------
 # Wire codec
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ class TestJobQueue:
 
         thread = threading.Thread(target=drain)
         thread.start()
-        time.sleep(0.05)
+        _wait_until_draining(queue)
         assert thread.is_alive(), "drain returned with a job in flight"
         queue.done(job)
         thread.join(timeout=10)
@@ -579,7 +585,7 @@ class TestBackpressureAndDrain:
             target=lambda: drained.append(server.drain(timeout=60))
         )
         drainer.start()
-        time.sleep(0.1)
+        _wait_until_draining(server.service.queue)
         # Mid-drain: still listening, refusing new work.
         with pytest.raises(ClientError) as excinfo:
             client.analyze(small_source(), wait=False)
