@@ -70,7 +70,9 @@ _BODIES: dict[tuple[str, str], tuple[list[Token], list[Token]]] = {}
 _BODIES_MAX = 4096
 
 
-def _lexed(text: str, filename: str, counter: str):
+def _lexed(
+    text: str, filename: str, counter: str
+) -> tuple[list[Token], list[Token]]:
     """The memoized ``(stream, body)`` of ``text``, counted as
     ``<counter>.hits``/``<counter>.misses``."""
     key = (text, filename)
